@@ -11,12 +11,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 from . import catalog, reproduce as repro
 from .correlation import aacs_profile, accs_profile
-from .search import SearchSpec, merge_results, run_search, run_search_parallel
+from .search import (
+    _LARGE_SPACE,
+    SearchSpec,
+    merge_results,
+    run_search,
+    run_search_parallel,
+)
 from .sequences import SequenceFormatError, SequencePair, parse_pair
 from .turyn import (
     ConstructionError,
@@ -203,44 +210,30 @@ def cmd_construct(args):
 
 
 def cmd_search(args):
-    if args.length % 2:
-        return _fail(args, "odd_length", "search length must be even")
-    space = 1 << (args.length + 1)
-    if space > (1 << 24) and not args.allow_large:
-        return _fail(
-            args,
-            "large_search_gated",
-            f"length {args.length} scans {space:,} candidates "
-            f"(roughly {space // 3_000_000} s single-threaded); rerun with --allow-large",
-        )
-    shards = args.shards
-    spec = SearchSpec(
-        m=args.length,
-        mid_abs=args.mid_abs,
-        shards=shards,
-        shard_index=args.shard if args.shard is not None else 0,
-        allow_large=args.allow_large,
-    )
-
     def progress(done, total):
         print(f"progress: {done:,}/{total:,} candidates", file=sys.stderr, flush=True)
 
     try:
+        spec = SearchSpec(
+            m=args.length,
+            mid_abs=args.mid_abs,
+            shards=args.shards,
+            shard_index=args.shard if args.shard is not None else 0,
+            allow_large=args.allow_large,
+        )
+        if spec.space > _LARGE_SPACE and not spec.allow_large:
+            return _fail(
+                args,
+                "large_search_gated",
+                f"length {spec.m} scans {spec.space:,} candidates (roughly "
+                f"{spec.space // 20_000_000} s single-threaded); rerun with --allow-large",
+            )
         if args.shard is None and args.jobs > 1:
             result = run_search_parallel(spec, args.jobs)
-        elif args.shard is None and shards > 1:
+        elif args.shard is None and spec.shards > 1:
             parts = [
-                run_search(
-                    SearchSpec(
-                        m=args.length,
-                        mid_abs=args.mid_abs,
-                        shards=shards,
-                        shard_index=i,
-                        allow_large=args.allow_large,
-                    ),
-                    progress=progress,
-                )
-                for i in range(shards)
+                run_search(replace(spec, shard_index=i), progress=progress)
+                for i in range(spec.shards)
             ]
             result = merge_results(parts)
         else:
@@ -255,7 +248,7 @@ def cmd_search(args):
                 "search": {
                     "length": args.length,
                     "mid_abs": args.mid_abs,
-                    "shards": shards,
+                    "shards": spec.shards,
                     "shard": args.shard,
                     "classes": result.classes,
                     "candidates_scanned": result.candidates_scanned,

@@ -45,6 +45,10 @@ class SearchSpec:
     def __post_init__(self):
         if self.m < 2 or self.m % 2:
             raise ValueError(f"target length must be even and >= 2, got {self.m}")
+        if self.m > 62:
+            raise ValueError(f"target length {self.m} exceeds 62, the uint64 encoding limit")
+        if self.mid_abs is not None and self.mid_abs < 0:
+            raise ValueError(f"mid_abs must be non-negative, got {self.mid_abs}")
         if self.shards < 1 or not 0 <= self.shard_index < self.shards:
             raise ValueError("need 0 <= shard_index < shards")
 

@@ -55,18 +55,13 @@ def golay_factorization(n):
     return GolayFactorization(alpha, beta, gamma)
 
 
-def zcp_width(pair):
-    """Largest Z with AACS zero for all 0 < u < Z; N when the pair is a GCP."""
-    aacs = aacs_profile(pair)
+def _zcp_width(aacs):
     nz = np.nonzero(aacs[1:])[0]
-    return pair.n if nz.size == 0 else int(nz[0]) + 1
+    return aacs.size if nz.size == 0 else int(nz[0]) + 1
 
 
-def czcp_width(pair):
-    """Largest Z <= N/2 satisfying both CZCP zone conditions (0 if none)."""
-    n = pair.n
-    aacs = aacs_profile(pair)
-    accs = accs_profile(pair)
+def _czcp_width(aacs, accs):
+    n = aacs.size
     caps = [n // 2]
     head = np.nonzero(aacs[1:])[0]
     caps.append(int(head[0]) if head.size else n)  # AACS zero through Z: Z <= first_nz - 1
@@ -79,21 +74,33 @@ def czcp_width(pair):
     return max(0, min(caps))
 
 
+def _czc_ratio(n, z):
+    if z == n // 2:
+        return Fraction(1)
+    if z == 0:
+        return Fraction(0)
+    return Fraction(z, n // 2 - 1)
+
+
+def zcp_width(pair):
+    """Largest Z with AACS zero for all 0 < u < Z; N when the pair is a GCP."""
+    return _zcp_width(aacs_profile(pair))
+
+
+def czcp_width(pair):
+    """Largest Z <= N/2 satisfying both CZCP zone conditions (0 if none)."""
+    return _czcp_width(aacs_profile(pair), accs_profile(pair))
+
+
 def is_gcp(pair):
     return zcp_width(pair) == pair.n
 
 
 def czc_ratio(pair):
     """Exact CZC ratio Z / Z_max for even-length pairs."""
-    n = pair.n
-    if n % 2:
+    if pair.n % 2:
         raise ValueError("CZC ratio is defined for even lengths only")
-    z = czcp_width(pair)
-    if z == n // 2:
-        return Fraction(1)
-    if z == 0:
-        return Fraction(0)
-    return Fraction(z, n // 2 - 1)
+    return _czc_ratio(pair.n, czcp_width(pair))
 
 
 def lemma5_structure_holds(pair, z):
@@ -146,10 +153,16 @@ class PairVerdict:
 
 
 def classify(pair):
-    """Populate a PairVerdict for the pair; never raises on odd lengths."""
+    """Populate a PairVerdict for the pair; never raises on odd lengths.
+
+    Both correlation profiles are computed once and every field is derived
+    from them.
+    """
     n = pair.n
-    z_zcp = zcp_width(pair)
-    z = czcp_width(pair)
+    aacs = aacs_profile(pair)
+    accs = accs_profile(pair)
+    z_zcp = _zcp_width(aacs)
+    z = _czcp_width(aacs, accs)
     gcp = z_zcp == n
     if n % 2:
         perfect = False
@@ -159,8 +172,8 @@ def classify(pair):
     else:
         perfect = z == n // 2
         z_max = n // 2 if perfect else n // 2 - 1
-        ratio = czc_ratio(pair)
-        mid = int(aacs_profile(pair)[n // 2])
+        ratio = _czc_ratio(n, z)
+        mid = int(aacs[n // 2])
     return PairVerdict(
         n=n,
         zcp_width=z_zcp,

@@ -169,6 +169,26 @@ def test_search_large_refused_with_estimate(capsys):
     assert "33,554,432" in report["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--length", "-2"],
+        ["--length", "0"],
+        ["--length", "6", "--shards", "0"],
+        ["--length", "6", "--shard", "3", "--shards", "2"],
+        ["--length", "6", "--mid-abs", "-1"],
+        ["--length", "64"],
+    ],
+)
+def test_search_bad_input_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "search", *argv, "--json")
+    assert code == 2
+    assert "Traceback" not in err
+    report = json.loads(out)
+    jsonschema.validate(report, SCHEMA)
+    assert report["error"]["code"] == "bad_search"
+
+
 def test_search_odd_length_refused(capsys):
     code, _, _ = run_cli(capsys, "search", "--length", "7", "--json")
     assert code == 2

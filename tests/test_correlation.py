@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from czcp.correlation import (
+    KRONECKER_MIN_N,
     CorrelationProfile,
+    _kronecker_correlate,
     aacf,
     aacs_profile,
     accf,
@@ -13,7 +15,7 @@ from czcp.correlation import (
 )
 from czcp.sequences import BinarySequence, SequencePair, parse_sequence
 
-from conftest import random_pair, random_sequence, ref_accf
+from conftest import random_pair, random_sequence, ref_aacs, ref_accs, ref_accf
 
 
 def test_accf_in_phase_is_length(rng):
@@ -181,3 +183,49 @@ def test_packed_kernel_matches_naive(rng):
             assert packed_aacs(xa, xb, n, u) == ref_accf(
                 list(p.first), list(p.first), u
             ) + ref_accf(list(p.second), list(p.second), u)
+
+
+# --- Kronecker-substitution kernel -------------------------------------------
+
+
+def _pattern(kind, n, rng):
+    if kind == "plus":
+        return BinarySequence([1] * n)
+    if kind == "minus":
+        return BinarySequence([-1] * n)
+    if kind == "alternating":
+        return BinarySequence([(-1) ** i for i in range(n)])
+    return random_sequence(rng, n)
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, 7, KRONECKER_MIN_N - 1, KRONECKER_MIN_N, KRONECKER_MIN_N + 1]
+)
+@pytest.mark.parametrize("kind", ["random", "plus", "minus", "alternating"])
+def test_kronecker_kernel_matches_correlate_and_reference(rng, n, kind):
+    a = _pattern(kind, n, rng)
+    b = random_sequence(rng, n)
+    for x, y in ((a, a), (a, b), (b, a)):
+        got = _kronecker_correlate(x.values, y.values)
+        want = np.correlate(y.values.astype(np.int64), x.values.astype(np.int64), "full")
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert list(got) == [ref_accf(list(x), list(y), s) for s in range(1 - n, n)]
+    pair = SequencePair(a, b)
+    assert list(aacs_profile(pair)) == [ref_aacs(pair, u) for u in range(n)]
+    assert list(accs_profile(pair)) == [ref_accs(pair, u) for u in range(n)]
+
+
+@pytest.mark.parametrize("n", [(1 << 16) - 1, 1 << 16])
+def test_kronecker_kernel_at_slot_width_boundary(n):
+    # k_0 = n for the all-minus sequence, the largest digit a 16-bit slot must hold
+    shifts = np.arange(1 - n, n, dtype=np.int64)
+    overlap = n - np.abs(shifts)
+    minus = -np.ones(n, dtype=np.int8)
+    alternating = np.where(np.arange(n) % 2, -1, 1).astype(np.int8)
+    assert np.array_equal(_kronecker_correlate(minus, minus), overlap)
+    assert np.array_equal(_kronecker_correlate(minus, -minus), -overlap)
+    assert np.array_equal(
+        _kronecker_correlate(alternating, alternating),
+        np.where(shifts % 2, -overlap, overlap),
+    )

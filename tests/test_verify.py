@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from czcp import catalog
+from czcp import catalog, verify
 from czcp.search import equivalents
 from czcp.sequences import BinarySequence, SequencePair
 from czcp.verify import (
@@ -224,3 +224,28 @@ def test_half_length_bound_on_unstructured_random(rng):
     for _ in range(1000):
         p = random_pair(rng, rng.randint(1, 32))
         assert czcp_width(p) <= p.n // 2
+
+
+def test_classify_computes_each_profile_once(monkeypatch, rng):
+    calls = {"aacs_profile": 0, "accs_profile": 0}
+
+    def counted(name):
+        fn = getattr(verify, name)
+
+        def wrapper(pair):
+            calls[name] += 1
+            return fn(pair)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, counted(name))
+    for pair in (catalog.get("EX1").pair, random_pair(rng, 9), random_pair(rng, 400)):
+        for name in calls:
+            calls[name] = 0
+        v = classify(pair)
+        assert calls == {"aacs_profile": 1, "accs_profile": 1}
+        assert v.zcp_width == zcp_width(pair)
+        assert v.czcp_width == czcp_width(pair)
+        if pair.n % 2 == 0:
+            assert v.czc_ratio == czc_ratio(pair)
