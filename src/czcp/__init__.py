@@ -3,7 +3,6 @@ Turyn composition, catalog of known optimal pairs, and exhaustive seed search.""
 
 from . import catalog, reproduce
 from .correlation import (
-    CorrelationProfile,
     aacf,
     aacs_profile,
     accf,
@@ -13,16 +12,15 @@ from .sequences import (
     BinarySequence,
     SequenceFormatError,
     SequencePair,
-    format_sequence,
     kronecker,
     parse_pair,
     parse_sequence,
 )
 from .search import (
+    LargeSearchError,
     SearchResult,
     SearchSpec,
     canonicalize,
-    enumerate_candidates,
     equivalents,
     run_search,
     run_search_parallel,

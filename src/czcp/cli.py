@@ -17,13 +17,7 @@ from pathlib import Path
 
 from . import catalog, reproduce as repro
 from .correlation import aacs_profile, accs_profile
-from .search import (
-    _LARGE_SPACE,
-    SearchSpec,
-    merge_results,
-    run_search,
-    run_search_parallel,
-)
+from .search import LargeSearchError, SearchSpec, run_search_parallel
 from .sequences import SequenceFormatError, SequencePair, parse_pair
 from .turyn import (
     ConstructionError,
@@ -221,23 +215,12 @@ def cmd_search(args):
             shard_index=args.shard if args.shard is not None else 0,
             allow_large=args.allow_large,
         )
-        if spec.space > _LARGE_SPACE and not spec.allow_large:
-            return _fail(
-                args,
-                "large_search_gated",
-                f"length {spec.m} scans {spec.space:,} candidates (roughly "
-                f"{spec.space // 20_000_000} s single-threaded); rerun with --allow-large",
-            )
-        if args.shard is None and args.jobs > 1:
-            result = run_search_parallel(spec, args.jobs)
-        elif args.shard is None and spec.shards > 1:
-            parts = [
-                run_search(replace(spec, shard_index=i), progress=progress)
-                for i in range(spec.shards)
-            ]
-            result = merge_results(parts)
-        else:
-            result = run_search(spec, progress=progress)
+        if args.shard is None:
+            # every shard together is one deterministic scan of the whole space
+            spec = replace(spec, shards=1)
+        result = run_search_parallel(spec, args.jobs, progress)
+    except LargeSearchError as exc:
+        return _fail(args, "large_search_gated", str(exc))
     except ValueError as exc:
         return _fail(args, "bad_search", str(exc))
 
@@ -248,7 +231,7 @@ def cmd_search(args):
                 "search": {
                     "length": args.length,
                     "mid_abs": args.mid_abs,
-                    "shards": spec.shards,
+                    "shards": args.shards,
                     "shard": args.shard,
                     "classes": result.classes,
                     "candidates_scanned": result.candidates_scanned,

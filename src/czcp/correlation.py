@@ -16,18 +16,12 @@ Three routes to the same integers:
   N = 330, was measured on a 2-vCPU x86-64 host.
 
 Either route returns all shifts 1-N..N-1, so accs_profile gets both cross
-terms from one correlation. pack_bits/packed_accf/packed_aacs restate the
-popcount form one shift at a time; only the tests use them (the search
-scanner vectorizes its own). Nothing here touches floating point.
+terms from one correlation. Nothing here touches floating point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .sequences import BinarySequence, SequencePair
 
 
 def accf(a, b, u):
@@ -107,50 +101,3 @@ def accs_profile(pair):
     full = _correlate(pair.first, pair.second)
     return full[n - 1 :] + full[n - 1 :: -1]
 
-
-@dataclass(frozen=True)
-class CorrelationProfile:
-    """Per-shift AACS and ACCS sums of a pair, shifts 0..N-1."""
-
-    aacs: tuple
-    accs: tuple
-
-    @classmethod
-    def of(cls, pair):
-        return cls(
-            aacs=tuple(int(v) for v in aacs_profile(pair)),
-            accs=tuple(int(v) for v in accs_profile(pair)),
-        )
-
-    @property
-    def n(self):
-        return len(self.aacs)
-
-
-# --- packed bit-parallel kernel -------------------------------------------
-#
-# Bit i set <=> element i is -1. A correlation sum over an overlap of k
-# positions equals k - 2*popcount(disagreements).
-
-
-def pack_bits(seq):
-    """Pack a BinarySequence (or +-1 iterable) into an int, bit i = (elem i < 0)."""
-    word = 0
-    for i, v in enumerate(seq):
-        if v < 0:
-            word |= 1 << i
-    return word
-
-
-def packed_accf(xa, xb, n, u):
-    """accf at shift u >= 0 from packed words of length-n sequences."""
-    if u >= n:
-        return 0
-    overlap = n - u
-    diff = (xa ^ (xb >> u)) & ((1 << overlap) - 1)
-    return overlap - 2 * diff.bit_count()
-
-
-def packed_aacs(xa, xb, n, u):
-    """AACS at shift u >= 0 from the packed words of a pair."""
-    return packed_accf(xa, xa, n, u) + packed_accf(xb, xb, n, u)

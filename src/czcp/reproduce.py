@@ -163,41 +163,20 @@ def reproduce_table3():
     ex = reproduce_example1()
     _check(checks, "framework.(60,24).instance", True, ex.ok)
 
-    # family ratio formulas, exact in N
-    for m in lengths:
-        for n in (2, 4, 8, 16):
-            _check(
-                checks,
-                f"family1.M{m}.N{n}.ratio",
-                Fraction(m - 1, m),
-                Fraction((m - 1) * n // 2, m * n // 2),
-            )
-        for n in (10, 100):
-            _check(
-                checks,
-                f"family2.M{m}.N{n}.ratio",
-                Fraction(5 * m - 6, 5 * m),
-                Fraction((5 * m - 6) * n // 10, m * n // 2),
-            )
-        for n in (26, 260):
-            _check(
-                checks,
-                f"family34.M{m}.N{n}.ratio",
-                Fraction(13 * m - 14, 13 * m),
-                Fraction((13 * m - 14) * n // 26, m * n // 2),
-            )
-
-    # family 2 instances: compose each seed with the length-10 GCP (Z = 4)
-    gcp10 = catalog.get("GCP10").pair
-    for m in lengths:
-        seed = catalog.seed(f"K{m}").pair
-        rep = construct_theorem1(gcp10, seed, auto_normalize=True)
-        _check(
-            checks,
-            f"family2.M{m}.width>=({5 * m - 6})",
-            True,
-            rep.measured_width >= 5 * m - 6,
-        )
+    # family instances: each seed composed with a GCP of length N attains the
+    # family's width formula exactly
+    families = (
+        ("family1", 2, lambda m, n: (m - 1) * n // 2),
+        ("family1", 4, lambda m, n: (m - 1) * n // 2),
+        ("family2", 10, lambda m, n: (5 * m - 6) * n // 10),
+        ("family34", 26, lambda m, n: (13 * m - 14) * n // 26),
+    )
+    for family, n, width in families:
+        gcp = catalog.golay_pair(n)
+        for m in lengths:
+            seed = catalog.seed(f"K{m}").pair
+            rep = construct_theorem1(gcp, seed, auto_normalize=True)
+            _check(checks, f"{family}.M{m}.N{n}.width", width(m, n), rep.measured_width)
 
     # optimal new-parameter row: (48,23) and (56,27) with ratio 1
     for eid, m, z in (("K48", 48, 23), ("K56", 56, 27)):

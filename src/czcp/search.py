@@ -11,13 +11,16 @@ autocorrelation sums at shifts 1..M-1 excluding M/2.
 Candidates are encoded as integers (c's sign bits shifted left twice, plus
 two bits choosing the middle signs); shards are contiguous ranges of that
 integer, so any shard partition scans the same space deterministically.
+
+A spec whose whole space exceeds 2^24 candidates (M >= 24) is refused at
+construction, before any work starts, unless it sets allow_large.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -28,7 +31,12 @@ from .verify import czcp_width, golay_factorization
 
 _BLOCK = 1 << 20
 _LARGE_SPACE = 1 << 24  # gate for M >= 24 (2^25 candidates and up)
+_SCAN_RATE = 20_000_000  # candidates/s on one core, for the gate's time estimate
 PROGRESS_EVERY = 1_000_000
+
+
+class LargeSearchError(ValueError):
+    """A SearchSpec over more than 2^24 candidates that does not set allow_large."""
 
 
 @dataclass(frozen=True)
@@ -51,6 +59,12 @@ class SearchSpec:
             raise ValueError(f"mid_abs must be non-negative, got {self.mid_abs}")
         if self.shards < 1 or not 0 <= self.shard_index < self.shards:
             raise ValueError("need 0 <= shard_index < shards")
+        if self.space > _LARGE_SPACE and not self.allow_large:
+            raise LargeSearchError(
+                f"length {self.m} scans {self.space:,} candidates (roughly "
+                f"{self.space // _SCAN_RATE} s single-threaded); "
+                "rerun with allow_large (--allow-large)"
+            )
 
     @property
     def space(self):
@@ -110,16 +124,6 @@ def _word_to_sequence(word, m):
     return BinarySequence([-1 if (word >> j) & 1 else 1 for j in range(m)])
 
 
-def enumerate_candidates(spec):
-    """Yield the shard's candidate pairs in encoding order."""
-    lo, hi = spec.shard_range
-    for index in range(lo, hi):
-        x, y = _decode(index, spec.m)
-        yield SequencePair(
-            _word_to_sequence(x, spec.m), _word_to_sequence(y, spec.m)
-        )
-
-
 def _check_shifts(m):
     """AACS shifts that must vanish, cheapest rejectors first."""
     out = [u for u in (1, m - 1) if u != m // 2 and 1 <= u <= m - 1]
@@ -165,11 +169,6 @@ def run_search(spec, progress=None):
     `progress` is called as progress(scanned, total) roughly every
     PROGRESS_EVERY candidates.
     """
-    if spec.space > _LARGE_SPACE and not spec.allow_large:
-        raise ValueError(
-            f"length {spec.m} scans {spec.space:,} candidates; "
-            "pass allow_large to run it"
-        )
     warnings = []
     if golay_factorization(spec.m) is not None:
         warnings.append(
@@ -237,26 +236,23 @@ def merge_results(results):
     )
 
 
-def _run_shard(args):
-    spec, shards, shard_index = args
-    return run_search(
-        SearchSpec(
-            m=spec.m,
-            mid_abs=spec.mid_abs,
-            require_optimal=spec.require_optimal,
-            shards=shards,
-            shard_index=shard_index,
-            allow_large=spec.allow_large,
-        )
-    )
+def _run_shard(spec):
+    # the pool pickles this by name; run_search itself may be rebound to a wrapper
+    # (a tracer's, say) that cannot be pickled
+    return run_search(spec)
 
 
-def run_search_parallel(spec, jobs):
-    """Fan a whole-space search out over `jobs` worker processes."""
-    if jobs <= 1:
-        return run_search(spec)
+def run_search_parallel(spec, jobs, progress=None):
+    """Fan a whole-space search out over `jobs` worker processes.
+
+    With jobs <= 1, or a spec that names one shard of several, the search
+    runs here via run_search(spec, progress). Workers report no progress.
+    """
+    if jobs <= 1 or spec.shards > 1:
+        return run_search(spec, progress)
+    specs = [replace(spec, shards=jobs, shard_index=i) for i in range(jobs)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_run_shard, [(spec, jobs, i) for i in range(jobs)]))
+        results = list(pool.map(_run_shard, specs))
     return merge_results(results)
 
 

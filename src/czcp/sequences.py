@@ -34,10 +34,6 @@ class BinarySequence:
         arr.flags.writeable = False
         self._values = arr
 
-    @classmethod
-    def from_text(cls, text):
-        return parse_sequence(text)
-
     @property
     def values(self):
         """Read-only int8 array view of the elements."""
@@ -102,11 +98,6 @@ def parse_sequence(text):
                 position=i,
             )
     return BinarySequence(values)
-
-
-def format_sequence(seq):
-    """Inverse of parse_sequence."""
-    return seq.to_text()
 
 
 @dataclass(frozen=True)

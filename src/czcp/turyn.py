@@ -27,6 +27,7 @@ import numpy as np
 from .sequences import BinarySequence, SequencePair, kronecker
 from .verify import (
     PairVerdict,
+    _middle_terms,
     classify,
     czcp_width,
     golay_factorization,
@@ -57,14 +58,8 @@ def turyn_compose(first_pair, second_pair):
 
 def condition_eq4_holds(first_pair, second_pair):
     """Sign condition coupling the leading signs of (a,b) to (c,d)'s middle columns."""
-    m = second_pair.n
-    if m % 2:
-        raise ValueError("second pair must have even length")
     r = first_pair.first[0] * first_pair.second[0]
-    c, d = second_pair.first, second_pair.second
-    k = c[0] * d[0]
-    x = c[m // 2 - 1] - k * d[m // 2 - 1]
-    y = c[m // 2] + k * d[m // 2]
+    x, y = _middle_terms(second_pair)
     return (r + 1) * x + (r - 1) * y == 0
 
 
@@ -92,8 +87,28 @@ class ConstructionReport:
 
 
 def _require_gcp(pair, what="first pair"):
-    if not is_gcp(pair):
+    """The pair's verdict; raises unless the pair is a GCP."""
+    verdict = classify(pair)
+    if not verdict.is_gcp:
         raise ConstructionError("not_gcp", f"{what} is not a GCP")
+    return verdict
+
+
+def _compose_report(
+    first, second, guaranteed, basis="lemma8", condition_eq4=None, normalized=False, warnings=()
+):
+    out = turyn_compose(first, second)
+    verdict = classify(out)
+    return ConstructionReport(
+        pair=out,
+        guaranteed_width=guaranteed,
+        measured_width=verdict.czcp_width,
+        basis=basis,
+        condition_eq4=condition_eq4,
+        normalized=normalized,
+        verdict=verdict,
+        warnings=tuple(warnings),
+    )
 
 
 def _require_theorem1_seed(seed):
@@ -124,11 +139,10 @@ def construct_theorem1(gcp_pair, seed, auto_normalize=False):
     The guarantee is (M/2-1)*N + Z_A when the sign condition holds for the
     (possibly normalized) GCP, and the weaker (M/2-1)*N otherwise.
     """
-    _require_gcp(gcp_pair)
+    z_a = _require_gcp(gcp_pair).czcp_width
     _require_theorem1_seed(seed)
     n = gcp_pair.n
     m = seed.n
-    z_a = czcp_width(gcp_pair)
     if z_a < 1:
         raise ConstructionError("gcp_zone_zero", "GCP has no cross-correlation zone")
 
@@ -151,18 +165,7 @@ def construct_theorem1(gcp_pair, seed, auto_normalize=False):
             "sign condition fails; only the compositional width (M/2-1)*N is guaranteed"
         )
 
-    out = turyn_compose(chosen, seed)
-    verdict = classify(out)
-    return ConstructionReport(
-        pair=out,
-        guaranteed_width=guaranteed,
-        measured_width=verdict.czcp_width,
-        basis=basis,
-        condition_eq4=eq4,
-        normalized=normalized,
-        verdict=verdict,
-        warnings=tuple(warnings),
-    )
+    return _compose_report(chosen, seed, guaranteed, basis, eq4, normalized, warnings)
 
 
 def construct_lemma8(gcp_pair, czcp_pair):
@@ -171,31 +174,11 @@ def construct_lemma8(gcp_pair, czcp_pair):
     z_b = czcp_width(czcp_pair)
     if z_b < 1:
         raise ConstructionError("seed_not_czcp", "second pair is not a CZCP")
-    out = turyn_compose(gcp_pair, czcp_pair)
-    verdict = classify(out)
-    return ConstructionReport(
-        pair=out,
-        guaranteed_width=gcp_pair.n * z_b,
-        measured_width=verdict.czcp_width,
-        basis="lemma8",
-        condition_eq4=None,
-        normalized=False,
-        verdict=verdict,
-    )
+    return _compose_report(gcp_pair, czcp_pair, gcp_pair.n * z_b)
 
 
 def construct_gcp(first_gcp, second_gcp):
     """Compose two GCPs into a GCP of the product length."""
     _require_gcp(first_gcp, "first pair")
-    _require_gcp(second_gcp, "second pair")
-    out = turyn_compose(first_gcp, second_gcp)
-    verdict = classify(out)
-    return ConstructionReport(
-        pair=out,
-        guaranteed_width=first_gcp.n * czcp_width(second_gcp),
-        measured_width=verdict.czcp_width,
-        basis="lemma8",
-        condition_eq4=None,
-        normalized=False,
-        verdict=verdict,
-    )
+    z_b = _require_gcp(second_gcp, "second pair").czcp_width
+    return _compose_report(first_gcp, second_gcp, first_gcp.n * z_b)

@@ -120,19 +120,23 @@ def lemma5_structure_holds(pair, z):
     return True
 
 
+def _middle_terms(pair):
+    """(c[M/2-1] - k*d[M/2-1], c[M/2] + k*d[M/2]) with k = d0/c0, for an even pair."""
+    m = pair.n
+    if m % 2:
+        raise ValueError("even length required")
+    c, d = pair.first, pair.second
+    k = c[0] * d[0]
+    return c[m // 2 - 1] - k * d[m // 2 - 1], c[m // 2] + k * d[m // 2]
+
+
 def lemma9_condition_holds(pair):
     """Vanishing-product condition on the two middle columns of an even pair.
 
     True iff (c[M/2-1] - k*d[M/2-1]) * (c[M/2] + k*d[M/2]) == 0 with
     k = d0/c0. For optimal non-Golay-length pairs this pins |AACS(M/2)| = 2.
     """
-    m = pair.n
-    if m % 2:
-        raise ValueError("even length required")
-    c, d = pair.first, pair.second
-    k = c[0] * d[0]
-    x = c[m // 2 - 1] - k * d[m // 2 - 1]
-    y = c[m // 2] + k * d[m // 2]
+    x, y = _middle_terms(pair)
     return x * y == 0
 
 

@@ -8,8 +8,10 @@ that cannot inherit their bugs.
 
 import random
 
+import numpy as np
 import pytest
 
+from czcp.search import SearchSpec, _decode, _scan_block, _word_to_sequence
 from czcp.sequences import BinarySequence, SequencePair
 
 
@@ -71,3 +73,37 @@ def ref_czcp_width(pair):
         if c1 and c2:
             return z
     return 0
+
+
+def ref_seed_shape(pair, mid_abs=None):
+    """AACS zero at every shift 1..N-1 but N/2, where |AACS| must equal mid_abs if given."""
+    n = pair.n
+    for u in range(1, n):
+        s = ref_aacs(pair, u)
+        if u == n // 2:
+            if mid_abs is not None and abs(s) != mid_abs:
+                return False
+        elif s:
+            return False
+    return True
+
+
+def check_scan_block(rng, m, sample):
+    """The search's block scanner against ref_seed_shape on decoded candidates.
+
+    The block is `sample` random encodings plus every encoding the scanner
+    keeps over the whole space (so accepting cases occur); over the block
+    the scanner must keep exactly the encodings the definition accepts.
+    """
+    space = SearchSpec(m=m).space
+    found = _scan_block(np.arange(space, dtype=np.uint64), m, None)
+    chosen = set(rng.sample(range(space), min(sample, space))) | {int(v) for v in found}
+    block = np.array(sorted(chosen), dtype=np.uint64)
+    pairs = {}
+    for index in chosen:
+        x, y = _decode(index, m)
+        pairs[index] = SequencePair(_word_to_sequence(x, m), _word_to_sequence(y, m))
+    for mid_abs in (None, 0, 2):
+        want = [i for i in sorted(chosen) if ref_seed_shape(pairs[i], mid_abs)]
+        assert [int(v) for v in _scan_block(block, m, mid_abs)] == want, (m, mid_abs)
+    return len(found)

@@ -14,12 +14,7 @@ import numpy as np
 import pytest
 
 from czcp import catalog
-from czcp.correlation import (
-    aacs_profile,
-    accs_profile,
-    pack_bits,
-    packed_accf,
-)
+from czcp.correlation import aacs_profile, accs_profile
 from czcp.search import (
     SearchSpec,
     brute_force_search,
@@ -31,7 +26,7 @@ from czcp.sequences import BinarySequence, SequencePair
 from czcp.turyn import construct_theorem1
 from czcp.verify import classify, czcp_width
 
-from conftest import random_pair, random_sequence, ref_accf
+from conftest import check_scan_block, ref_accf
 
 SEED_IDS = ("K6", "K12", "K24", "K28")
 
@@ -202,20 +197,20 @@ def test_criterion_7_property_suites():
         # and the verifier never exceeds the half-length bound
         assert czcp_width(pair) <= n // 2
 
-    # bit-parallel kernel vs the naive double loop, entry for entry
+    # np.correlate vs the naive double loop, entry for entry
     for _ in range(10_000):
         n = rng.randint(1, 64)
         a = [rng.choice((1, -1)) for _ in range(n)]
         b = [rng.choice((1, -1)) for _ in range(n)]
-        xa = pack_bits(a)
-        xb = pack_bits(b)
         prof_fast = np.correlate(
             np.array(b, dtype=np.int64), np.array(a, dtype=np.int64), "full"
         )[n - 1 :]
         for u in range(n):
-            naive = ref_accf(a, b, u)
-            assert packed_accf(xa, xb, n, u) == naive
-            assert int(prof_fast[u]) == naive
+            assert int(prof_fast[u]) == ref_accf(a, b, u)
+
+    # the search's bit-parallel block scanner vs the definition at M = 4..16
+    for m in range(4, 17, 2):
+        check_scan_block(rng, m, sample=1024)
 
     # shard determinism at M in {6, 12} for 1, 2, 4, 8 shards
     for m in (6, 12):

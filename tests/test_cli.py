@@ -152,6 +152,30 @@ def test_search_shard_union_equals_single(capsys):
     assert single["search"]["results"] == sharded["search"]["results"]
 
 
+def test_search_shards_without_shard_scan_once(capsys, monkeypatch):
+    # --shards K alone is one run over the whole space, so elapsed_s is that
+    # run's time, not the longest of K runs made one after another
+    import czcp.search as search_mod
+
+    runs = []
+    real = search_mod.run_search
+
+    def recording(spec, progress=None):
+        result = real(spec, progress)
+        runs.append((spec.shard_range, result.elapsed))
+        return result
+
+    monkeypatch.setattr(search_mod, "run_search", recording)
+    code, report = run_json(
+        capsys, "search", "--length", "12", "--mid-abs", "2", "--shards", "4"
+    )
+    assert code == 0
+    assert [r for r, _ in runs] == [(0, 8192)]
+    assert report["search"]["elapsed_s"] == runs[0][1]
+    assert report["search"]["shards"] == 4
+    assert report["search"]["candidates_scanned"] == 8192
+
+
 def test_search_single_shard_run(capsys):
     code, report = run_json(
         capsys, "search", "--length", "12", "--mid-abs", "2",

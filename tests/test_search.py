@@ -4,13 +4,15 @@ from czcp import catalog
 from czcp.correlation import aacs_profile
 from czcp.search import (
     SearchSpec,
+    _decode,
+    _word_to_sequence,
     brute_force_search,
     canonicalize,
-    enumerate_candidates,
     equivalents,
     merge_results,
     run_search,
 )
+from czcp.sequences import SequencePair
 from czcp.verify import classify, lemma5_structure_holds
 
 from conftest import random_pair
@@ -39,26 +41,39 @@ def test_equivalents_of_seed_share_canonical_form():
     assert len(equivalents(k6)) == 16
 
 
+def _candidates(spec):
+    lo, hi = spec.shard_range
+    return [
+        SequencePair(*(_word_to_sequence(w, spec.m) for w in _decode(i, spec.m)))
+        for i in range(lo, hi)
+    ]
+
+
 def test_candidate_count_length6():
-    cands = list(enumerate_candidates(SearchSpec(m=6)))
-    assert len(cands) == 128
+    assert SearchSpec(m=6).space == 128
+    assert SearchSpec(m=6).shard_range == (0, 128)
+    assert len(_candidates(SearchSpec(m=6))) == 128
 
 
 def test_candidates_satisfy_half_structure():
-    for pair in enumerate_candidates(SearchSpec(m=6)):
-        assert pair.first[0] == 1
-        assert lemma5_structure_holds(pair, 2)
+    # 2^(M+1) distinct pairs with c0 = d0 = +1 and the half structure: the
+    # decoder is a bijection onto the structured space
+    for m in (4, 6, 8):
+        cands = _candidates(SearchSpec(m=m))
+        assert len({p.texts() for p in cands}) == len(cands) == 1 << (m + 1)
+        for pair in cands:
+            assert pair.first[0] == pair.second[0] == 1
+            assert lemma5_structure_holds(pair, m // 2 - 1)
 
 
 def test_candidate_shards_partition_space():
-    full = [p.texts() for p in enumerate_candidates(SearchSpec(m=6))]
-    sharded = []
-    for i in range(4):
-        sharded.extend(
-            p.texts()
-            for p in enumerate_candidates(SearchSpec(m=6, shards=4, shard_index=i))
-        )
-    assert sharded == full
+    full = [p.texts() for p in _candidates(SearchSpec(m=6))]
+    for shards in (1, 3, 4, 7):
+        specs = [SearchSpec(m=6, shards=shards, shard_index=i) for i in range(shards)]
+        ranges = [spec.shard_range for spec in specs]
+        assert ranges[0][0] == 0 and ranges[-1][1] == 128
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        assert [p.texts() for spec in specs for p in _candidates(spec)] == full
 
 
 def test_search_finds_seed6():

@@ -5,7 +5,6 @@ from czcp.sequences import (
     BinarySequence,
     SequenceFormatError,
     SequencePair,
-    format_sequence,
     kronecker,
     parse_pair,
     parse_sequence,
@@ -40,14 +39,14 @@ def test_parse_allows_trailing_newline():
 
 
 def test_format_basic():
-    assert format_sequence(BinarySequence([1, -1])) == "+-"
-    assert format_sequence(parse_sequence("+-+++-")) == "+-+++-"
+    assert BinarySequence([1, -1]).to_text() == "+-"
+    assert str(parse_sequence("+-+++-")) == "+-+++-"
 
 
 def test_parse_format_round_trip(rng):
     for _ in range(1000):
         s = random_sequence(rng, rng.randint(1, 40))
-        assert parse_sequence(format_sequence(s)) == s
+        assert parse_sequence(s.to_text()) == s
 
 
 def test_elements_validated():
