@@ -201,6 +201,7 @@ def test_search_large_refused_with_estimate(capsys):
         ["--length", "6", "--shards", "0"],
         ["--length", "6", "--shard", "3", "--shards", "2"],
         ["--length", "6", "--mid-abs", "-1"],
+        ["--length", "42"],
         ["--length", "64"],
     ],
 )

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from czcp import catalog
@@ -5,6 +6,8 @@ from czcp.correlation import aacs_profile
 from czcp.search import (
     SearchSpec,
     _decode,
+    _join,
+    _scan_block,
     _word_to_sequence,
     brute_force_search,
     canonicalize,
@@ -15,7 +18,7 @@ from czcp.search import (
 from czcp.sequences import SequencePair
 from czcp.verify import classify, lemma5_structure_holds
 
-from conftest import random_pair
+from conftest import random_pair, ref_aacs
 
 
 def test_canonicalize_idempotent(rng):
@@ -74,6 +77,72 @@ def test_candidate_shards_partition_space():
         assert ranges[0][0] == 0 and ranges[-1][1] == 128
         assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
         assert [p.texts() for spec in specs for p in _candidates(spec)] == full
+
+
+def test_aacs_vanishes_above_half_shift():
+    # the identity that lets the search skip every shift above M/2: no index
+    # pair at such a shift lies inside P+ or inside P-, for every candidate
+    for m in range(4, 13, 2):
+        for pair in _candidates(SearchSpec(m=m)):
+            assert all(ref_aacs(pair, u) == 0 for u in range(m // 2 + 1, m)), m
+
+
+def _scan_space(m, mid_abs):
+    space = SearchSpec(m=m).space
+    blocks = [
+        _scan_block(np.arange(lo, min(lo + (1 << 20), space), dtype=np.uint64), m, mid_abs)
+        for lo in range(0, space, 1 << 20)
+    ]
+    return np.concatenate(blocks)
+
+
+def test_join_matches_block_scanner():
+    # includes M = 18 and 22, where no candidate survives
+    for m in range(2, 23, 2):
+        joined = np.sort(np.concatenate([_join(m, middle) for middle in range(4)]))
+        assert joined.dtype == np.uint64
+        assert np.array_equal(joined, _scan_space(m, None)), m
+        for mid_abs in (0, 2):
+            assert np.array_equal(_scan_block(joined, m, mid_abs), _scan_space(m, mid_abs))
+    assert _scan_space(18, None).size == _scan_space(22, None).size == 0
+
+
+def test_join_compares_shifts_past_the_key(monkeypatch):
+    # up to M = 22 the packed key holds every shift; a shorter key makes the
+    # join match on part of each row and compare the rest, as from M = 24 on
+    import czcp.search as search_mod
+
+    want = {m: _scan_space(m, None) for m in range(4, 17, 2)}
+    for key_shifts in (0, 1, 3):
+        monkeypatch.setattr(search_mod, "_KEY_SHIFTS", key_shifts)
+        for m, ref in want.items():
+            joined = np.sort(np.concatenate([_join(m, middle) for middle in range(4)]))
+            assert np.array_equal(joined, ref), (key_shifts, m)
+
+
+def test_shard_filter_keeps_join_encodings(monkeypatch):
+    import czcp.search as search_mod
+
+    seen = []
+    real = search_mod._scan_block
+
+    def recording(cands, m, mid_abs):
+        seen.append([int(v) for v in cands])
+        return real(cands, m, mid_abs)
+
+    monkeypatch.setattr(search_mod, "_scan_block", recording)
+    single = run_search(SearchSpec(m=12))
+    whole = seen.pop()
+    assert whole
+    for shards in (3, 7):
+        specs = [SearchSpec(m=12, shards=shards, shard_index=i) for i in range(shards)]
+        parts = [run_search(spec) for spec in specs]
+        for spec, cands in zip(specs, seen):
+            lo, hi = spec.shard_range
+            assert all(lo <= v < hi for v in cands)
+        assert sorted(v for cands in seen for v in cands) == whole
+        assert merge_results(parts).pairs == single.pairs
+        seen.clear()
 
 
 def test_search_finds_seed6():
@@ -152,13 +221,22 @@ def test_large_search_gated():
         run_search(SearchSpec(m=24, mid_abs=2))
 
 
-def test_progress_callback(monkeypatch):
-    import czcp.search as search_mod
+def test_length_limit():
+    assert SearchSpec(m=40, allow_large=True).space == 1 << 41
+    with pytest.raises(ValueError):
+        SearchSpec(m=42, allow_large=True)
 
-    monkeypatch.setattr(search_mod, "PROGRESS_EVERY", 1024)
-    calls = []
-    run_search(SearchSpec(m=12, mid_abs=2), progress=lambda done, total: calls.append(done))
-    assert calls and calls[-1] <= 8192
+
+def test_progress_callback():
+    # one call per middle-sign class, nondecreasing, ending at the shard's count
+    for spec in (SearchSpec(m=12, mid_abs=2), SearchSpec(m=12, shards=3, shard_index=1)):
+        lo, hi = spec.shard_range
+        calls = []
+        run_search(spec, progress=lambda done, total: calls.append((done, total)))
+        assert len(calls) == 4
+        assert all(total == hi - lo for _, total in calls)
+        done = [d for d, _ in calls]
+        assert done == sorted(done) and done[-1] == hi - lo
 
 
 def test_seed_class_counts_stable():
