@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -207,6 +208,10 @@ def cmd_search(args):
     def progress(done, total):
         print(f"progress: {done:,}/{total:,} candidates", file=sys.stderr, flush=True)
 
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        message = f"--jobs must be in 1..{cpus} (the CPU count), got {args.jobs}"
+        return _fail(args, "bad_search", message)
     try:
         spec = SearchSpec(
             m=args.length,
@@ -325,8 +330,23 @@ def cmd_reproduce(args):
     return 0 if report.ok else 1
 
 
+_COMMANDS = ("verify", "construct", "search", "catalog", "reproduce")  # the schema's "command" values
+
+
+class _UsageError(Exception):
+    def __init__(self, parser, message):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    # usage errors go back to main, which reports them as --json asks
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="czcp",
         description="Verify, construct and search binary cross Z-complementary pairs.",
     )
@@ -391,7 +411,14 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        options = argv[: argv.index("--")] if "--" in argv else argv
+        if argv and argv[0] in _COMMANDS and "--json" in options:
+            return _fail(argparse.Namespace(cmd=argv[0], json=True), "bad_args", str(exc))
+        argparse.ArgumentParser.error(exc.parser, str(exc))  # usage text, exit 2
     return args.func(args)
 
 

@@ -8,18 +8,26 @@ Three routes to the same integers:
   (aacs_profile, accs_profile) use np.correlate on int64 arrays, which is
   also the reference the large-N kernel is tested against;
 * from KRONECKER_MIN_N up they use a Kronecker-substitution kernel: the -1
-  positions of rev(x) and of y become base-2^16 digits (2^32 from length
-  2^16) of two Python integers, one built-in Karatsuba multiplication
-  yields every coincidence count k_s as a digit of the product, and
-  rho(x, y; s) follows from k_s and prefix popcounts. That is O(N^1.58)
-  per correlation against np.correlate's O(N^2); the crossover, about
-  N = 330, was measured on a 2-vCPU x86-64 host.
+  positions of rev(x) and of y become the d-digit slots, d = len(str(N)),
+  of two decimal integers, one multiplication yields every coincidence
+  count k_s as a slot of the product, and rho(x, y; s) follows from k_s
+  and prefix popcounts. The product is computed by the stdlib decimal
+  module (libmpdec), which multiplies large operands with an exact
+  number-theoretic transform over integer primes, O(N log N) per
+  correlation against np.correlate's O(N^2); the decimal radix makes
+  packing and unpacking a linear pass over ASCII digits. The crossover,
+  about N = 560, was measured on a 2-vCPU x86-64 host.
 
 Either route returns all shifts 1-N..N-1, so accs_profile gets both cross
-terms from one correlation. Nothing here touches floating point.
+terms from one correlation. The decimal route stays exact because its
+operands are integers with exponent 0 and its context traps Rounded,
+Inexact, InvalidOperation and Overflow: a product that does not fit is an
+exception, never rounded digits. Nothing here touches floating point.
 """
 
 from __future__ import annotations
+
+import decimal
 
 import numpy as np
 
@@ -45,27 +53,49 @@ def aacf(a, u):
     return accf(a, a, u)
 
 
-KRONECKER_MIN_N = 352  # below this length np.correlate is faster
+KRONECKER_MIN_N = 560  # below this length np.correlate is faster
+
+# a product that would need rounding raises instead (see the module docstring)
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
+)
+_ZERO = ord("0")
+
+
+def _decimal_slots(bits, d):
+    # the 0/1 vector as one integer, bits[0] in the most significant d-digit slot
+    text = np.full((bits.size, d), _ZERO, dtype=np.uint8)
+    text[:, -1] += bits
+    return _EXACT.create_decimal(text.tobytes().decode("ascii"))
 
 
 def _kronecker_correlate(xv, yv):
-    """rho(x, y; s) for s = 1-N..N-1 from +-1 arrays, by one big-int product.
+    """rho(x, y; s) for s = 1-N..N-1 from +-1 arrays, by one exact decimal product.
 
     With a_i = [x_i = -1] and b_j = [y_j = -1], a shift s >= 0 overlaps
     x[:N-s] with y[s:] and gives
     rho(x, y; s) = (N-s) - 2*(popA[:N-s] + popB[s:]) + 4*k_s,
     and rho(x, y; -s) = rho(y, x; s) swaps the roles. The coincidence count
-    k_s = sum_i a_i*b_(i+s) is digit N-1+s of rev(A)*B; k_s <= N, so a
-    16-bit digit slot (32-bit from N = 2^16) never carries into the next.
+    k_s = sum_i a_i*b_(i+s) is slot N-1+s (counted from the least
+    significant) of rev(A)*B written in base 10^d; k_s <= N < 10^d, so no
+    slot carries into the next.
     """
     n = xv.size
-    slot = np.dtype("<u2") if n < 1 << 16 else np.dtype("<u4")
+    d = len(str(n))
     a = xv < 0
     b = yv < 0
-    rev_a = int.from_bytes(a[::-1].astype(slot).tobytes(), "little")
-    big_b = int.from_bytes(b.astype(slot).tobytes(), "little")
-    digits = np.frombuffer((rev_a * big_b).to_bytes(2 * n * slot.itemsize, "little"), slot)
-    rho = digits[: 2 * n - 1].astype(np.int64)
+    # most significant slot first, rev(A) reads a[0..N-1] and B reads b[N-1..0]
+    product = str(_EXACT.multiply(_decimal_slots(a, d), _decimal_slots(b[::-1], d)))
+    text = np.frombuffer(product.rjust((2 * n - 1) * d, "0").encode("ascii"), np.uint8)
+    rho = np.zeros(2 * n - 1, dtype=np.int64)
+    k = rho[::-1]  # the text's first slot is the top one, shift N-1
+    for column in text.reshape(2 * n - 1, d).T:
+        k *= 10
+        k += column
+        k -= _ZERO
     rho *= 4
     overlap = np.arange(n, 0, -1, dtype=np.int64)
     # in place through two views: shifts s = 0..N-1, then s = -1..1-N

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from czcp import catalog
 from czcp.cli import main
@@ -214,6 +220,55 @@ def test_search_bad_input_exits_2(capsys, argv):
     assert report["error"]["code"] == "bad_search"
 
 
+@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1, 10**9])
+def test_search_jobs_outside_cpu_count_refused(capsys, monkeypatch, jobs):
+    import czcp.search as search_mod
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", no_pool)
+    code, out, err = run_cli(capsys, "search", "--length", "6", "--jobs", str(jobs), "--json")
+    assert code == 2
+    assert "Traceback" not in err
+    report = json.loads(out)
+    jsonschema.validate(report, SCHEMA)
+    assert report["error"]["code"] == "bad_search"
+    assert "--jobs" in report["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--gcp", "GCP2"],
+        ["construct", "--gcp", "GCP2", "--seed", "K6", "--mode", "nope"],
+        ["search", "--length", "6", "--bogus"],
+        ["search", "--length", "six"],
+        ["verify", "--bogus"],
+        ["catalog", "K6", "K12"],
+        ["reproduce", "table9"],
+    ],
+)
+def test_usage_errors_under_json_are_reports(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 2
+    report = json.loads(out)
+    jsonschema.validate(report, SCHEMA)
+    assert report["command"] == argv[0]
+    assert report["error"]["code"] == "bad_args"
+    assert err == ""
+
+
+def test_usage_errors_without_json_print_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--length", "6", "--bogus"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "usage: czcp" in out.err
+    assert "unrecognized arguments: --bogus" in out.err
+
+
 def test_search_odd_length_refused(capsys):
     code, _, _ = run_cli(capsys, "search", "--length", "7", "--json")
     assert code == 2
@@ -268,3 +323,84 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "optimal:     yes" in proc.stdout
+
+
+# --- fuzzing verify and construct ---------------------------------------------
+
+# no 'h' in generated argv tokens: any abbreviation of --help prints help and exits 0
+_TOKEN = st.text(st.characters(blacklist_characters="h", blacklist_categories=("Cs",)), max_size=10)
+_SEQUENCE = st.text("+-", min_size=1, max_size=8) | st.text("+- 01x\n", max_size=8) | _TOKEN
+_FILE_TEXT = (
+    st.builds(lambda a, b: f"{a}\n{b}\n", _SEQUENCE, _SEQUENCE)
+    | st.text(max_size=40)
+    | st.binary(max_size=40)
+)
+
+
+class _File(int):
+    """An argv slot for the i-th fuzzed pair file."""
+
+
+def _run_fuzzed(argv, files, stdin_text):
+    """main(argv) with each _File(i) replaced by the path of a file holding files[i]."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, content in enumerate(files):
+            path = os.path.join(tmp, f"pair{i}.txt")
+            with open(path, "wb") as fh:
+                fh.write(content if isinstance(content, bytes) else content.encode())
+            paths.append(path)
+        argv = [
+            (paths[t % len(paths)] if paths else "missing.txt") if isinstance(t, _File) else t
+            for t in argv
+        ]
+        out, err = io.StringIO(), io.StringIO()
+        with (
+            mock.patch.object(sys, "stdin", io.StringIO(stdin_text)),
+            contextlib.redirect_stdout(out),
+            contextlib.redirect_stderr(err),
+        ):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if "--json" in (argv[: argv.index("--")] if "--" in argv else argv):
+        jsonschema.validate(json.loads(out.getvalue()), SCHEMA)
+
+
+_PAIR_ARG = st.builds(_File, st.integers(0, 1)) | st.sampled_from(["-", *catalog.ids()]) | _TOKEN
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    json_flag=st.booleans(),
+    guard=st.booleans(),
+    inputs=st.lists(_SEQUENCE | _PAIR_ARG, max_size=3),
+    extra=st.lists(_TOKEN, max_size=2),
+    files=st.lists(_FILE_TEXT, max_size=2),
+    stdin_text=_FILE_TEXT.map(lambda t: t.decode("latin-1") if isinstance(t, bytes) else t),
+)
+def test_fuzz_verify(json_flag, guard, inputs, extra, files, stdin_text):
+    argv = ["verify", *extra, *(["--json"] if json_flag else []), *(["--"] if guard else []), *inputs]
+    _run_fuzzed(argv, files, stdin_text)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    gcp=st.none() | _PAIR_ARG,
+    seed=st.none() | _PAIR_ARG,
+    mode=st.none() | st.sampled_from(["theorem1", "lemma8", "gcp"]) | _TOKEN,
+    normalize=st.booleans(),
+    json_flag=st.booleans(),
+    extra=st.lists(_TOKEN, max_size=2),
+    files=st.lists(_FILE_TEXT, max_size=2),
+)
+def test_fuzz_construct(gcp, seed, mode, normalize, json_flag, extra, files):
+    argv = ["construct", *extra]
+    for flag, value in (("--gcp", gcp), ("--seed", seed), ("--mode", mode)):
+        if value is not None:
+            argv += [flag, value]
+    argv += ["--auto-normalize"] * normalize + ["--json"] * json_flag
+    _run_fuzzed(argv, files, "")

@@ -1,6 +1,9 @@
+import decimal
+
 import numpy as np
 import pytest
 
+from czcp import correlation
 from czcp.correlation import (
     KRONECKER_MIN_N,
     _kronecker_correlate,
@@ -185,21 +188,34 @@ def _pattern(kind, n, rng):
 
 
 @pytest.mark.parametrize(
-    "n", [1, 2, 7, KRONECKER_MIN_N - 1, KRONECKER_MIN_N, KRONECKER_MIN_N + 1]
+    "n",
+    [1, 2, 7, 351, 352, 353, KRONECKER_MIN_N - 1, KRONECKER_MIN_N, KRONECKER_MIN_N + 1]
+    + [999, 1000, 9999, 10000],
 )
 @pytest.mark.parametrize("kind", ["random", "plus", "minus", "alternating"])
 def test_kronecker_kernel_matches_correlate_and_reference(rng, n, kind):
+    # 999/1000 and 9999/10000 straddle a change of the decimal slot width;
+    # below KRONECKER_MIN_N the profiles check the np.correlate route instead
     a = _pattern(kind, n, rng)
     b = random_sequence(rng, n)
+    # the pure-Python oracle is O(N) per shift: every shift up to just past the
+    # crossover, a sample above it; np.correlate covers every shift at every n
+    if n <= KRONECKER_MIN_N + 1:
+        shifts = range(n)
+    else:
+        shifts = sorted({0, 1, 2, n // 2, n - 2, n - 1} | set(rng.sample(range(n), 16)))
     for x, y in ((a, a), (a, b), (b, a)):
         got = _kronecker_correlate(x.values, y.values)
         want = np.correlate(y.values.astype(np.int64), x.values.astype(np.int64), "full")
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
-        assert list(got) == [ref_accf(list(x), list(y), s) for s in range(1 - n, n)]
+        xs, ys = list(x), list(y)
+        assert [got[n - 1 + s] for s in shifts] == [ref_accf(xs, ys, s) for s in shifts]
+        assert [got[n - 1 - s] for s in shifts] == [ref_accf(xs, ys, -s) for s in shifts]
     pair = SequencePair(a, b)
-    assert list(aacs_profile(pair)) == [ref_aacs(pair, u) for u in range(n)]
-    assert list(accs_profile(pair)) == [ref_accs(pair, u) for u in range(n)]
+    aacs, accs = aacs_profile(pair), accs_profile(pair)
+    assert [aacs[u] for u in shifts] == [ref_aacs(pair, u) for u in shifts]
+    assert [accs[u] for u in shifts] == [ref_accs(pair, u) for u in shifts]
 
 
 @pytest.mark.parametrize("n", [(1 << 16) - 1, 1 << 16])
@@ -215,3 +231,20 @@ def test_kronecker_kernel_at_slot_width_boundary(n):
         _kronecker_correlate(alternating, alternating),
         np.where(shifts % 2, -overlap, overlap),
     )
+
+
+@pytest.mark.parametrize("kind", ["minus", "alternating"])
+def test_kronecker_kernel_refuses_to_round(monkeypatch, rng, kind):
+    # minus ends the product in a nonzero digit (Inexact); alternating in zeros (Rounded only)
+    n = KRONECKER_MIN_N
+    xv = _pattern(kind, n, rng).values
+    d = len(str(n))
+    rev_a = int("".join(f"{int(v < 0):0{d}d}" for v in xv))
+    big_b = int("".join(f"{int(v < 0):0{d}d}" for v in xv[::-1]))
+    digits = len(str(rev_a * big_b))
+    want = np.correlate(xv.astype(np.int64), xv.astype(np.int64), "full")
+    monkeypatch.setattr(correlation._EXACT, "prec", digits)
+    assert np.array_equal(_kronecker_correlate(xv, xv), want)
+    monkeypatch.setattr(correlation._EXACT, "prec", digits - 1)
+    with pytest.raises((decimal.Rounded, decimal.Inexact)):
+        _kronecker_correlate(xv, xv)
