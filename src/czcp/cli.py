@@ -12,12 +12,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 from . import catalog, reproduce as repro
-from .correlation import aacs_profile, accs_profile
 from .search import LargeSearchError, SearchSpec, run_search_parallel
 from .sequences import SequenceFormatError, SequencePair, parse_pair
 from .turyn import (
@@ -33,11 +31,8 @@ def _pair_json(pair):
     return {"first": str(pair.first), "second": str(pair.second)}
 
 
-def _profiles_json(pair):
-    return {
-        "aacs": [int(v) for v in aacs_profile(pair)],
-        "accs": [int(v) for v in accs_profile(pair)],
-    }
+def _profiles_json(v):
+    return {"aacs": v.aacs.tolist(), "accs": v.accs.tolist()}
 
 
 def _verdict_json(v):
@@ -74,12 +69,12 @@ def _emit(report):
     print(json.dumps(report, indent=2 if sys.stdout.isatty() else None))
 
 
-def _fail(args, code, message, exit_code=2):
+def _fail(args, code, message):
     if args.json:
         print(json.dumps({"command": args.cmd, "error": {"code": code, "message": message}}))
     else:
         print(f"error ({code}): {message}", file=sys.stderr)
-    return exit_code
+    return 2
 
 
 def _vector(values):
@@ -128,15 +123,15 @@ def cmd_verify(args):
             {
                 "command": "verify",
                 "pair": _pair_json(pair),
-                "profiles": _profiles_json(pair),
+                "profiles": _profiles_json(verdict),
                 "verdict": _verdict_json(verdict),
             },
         )
     else:
         print(f"first:       {pair.first}")
         print(f"second:      {pair.second}")
-        print(f"aacs:        {_vector(aacs_profile(pair))}")
-        print(f"accs:        {_vector(accs_profile(pair))}")
+        print(f"aacs:        {_vector(verdict.aacs)}")
+        print(f"accs:        {_vector(verdict.accs)}")
         _print_verdict(verdict)
     return 0 if verdict.czcp_width >= 1 else 1
 
@@ -177,7 +172,7 @@ def cmd_construct(args):
                     "gcp": _pair_json(gcp),
                     "seed": _pair_json(seed),
                     "output": _pair_json(rep.pair),
-                    "profiles": _profiles_json(rep.pair),
+                    "profiles": _profiles_json(rep.verdict),
                     "verdict": _verdict_json(rep.verdict),
                     "guaranteed_width": rep.guaranteed_width,
                     "measured_width": rep.measured_width,
@@ -192,8 +187,8 @@ def cmd_construct(args):
         print(f"mode:        {args.mode} (guarantee backed by {rep.basis})")
         print(f"output s:    {rep.pair.first}")
         print(f"output t:    {rep.pair.second}")
-        print(f"aacs:        {_vector(aacs_profile(rep.pair))}")
-        print(f"accs:        {_vector(accs_profile(rep.pair))}")
+        print(f"aacs:        {_vector(rep.verdict.aacs)}")
+        print(f"accs:        {_vector(rep.verdict.accs)}")
         print(f"guaranteed:  {rep.guaranteed_width}")
         print(f"measured:    {rep.measured_width}")
         print(f"sign cond:   {rep.condition_eq4}")
@@ -212,17 +207,17 @@ def cmd_search(args):
     if not 1 <= args.jobs <= cpus:
         message = f"--jobs must be in 1..{cpus} (the CPU count), got {args.jobs}"
         return _fail(args, "bad_search", message)
+    if args.shard is None and args.shards > 1:
+        message = f"--shards {args.shards} runs one shard; name it with --shard 0..{args.shards - 1}"
+        return _fail(args, "bad_search", message)
     try:
         spec = SearchSpec(
             m=args.length,
             mid_abs=args.mid_abs,
             shards=args.shards,
-            shard_index=args.shard if args.shard is not None else 0,
+            shard_index=args.shard or 0,
             allow_large=args.allow_large,
         )
-        if args.shard is None:
-            # every shard together is one deterministic scan of the whole space
-            spec = replace(spec, shards=1)
         result = run_search_parallel(spec, args.jobs, progress)
     except LargeSearchError as exc:
         return _fail(args, "large_search_gated", str(exc))
@@ -390,7 +385,7 @@ def build_parser():
         "--shard",
         type=int,
         default=None,
-        help="run only this shard (default: all shards)",
+        help="the shard to run, 0..SHARDS-1 (required when --shards > 1)",
     )
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--allow-large", action="store_true")

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog
-from .correlation import aacs_profile, accs_profile
-from .search import SearchSpec, canonicalize, run_search
-from .sequences import SequencePair
+from .search import SearchSpec, canonicalize, equivalents, run_search
 from .turyn import construct_lemma8, construct_theorem1
 from .verify import classify, lemma5_structure_holds, lemma9_condition_holds
 
@@ -44,31 +42,26 @@ def _check(checks, name, expected, actual):
     checks.append(Check(name=name, ok=expected == actual, expected=expected, actual=actual))
 
 
-def _profile_checks(checks, label, pair, entry):
-    _check(checks, f"{label}.aacs", list(entry.aacs), [int(v) for v in aacs_profile(pair)])
-    _check(checks, f"{label}.accs", list(entry.accs), [int(v) for v in accs_profile(pair)])
+def _profile_checks(checks, label, verdict, entry):
+    _check(checks, f"{label}.aacs", list(entry.aacs), verdict.aacs.tolist())
+    _check(checks, f"{label}.accs", list(entry.accs), verdict.accs.tolist())
 
 
-_TRANSFORMS = [
-    (f"{'swap,' if sw else ''}{'reverse,' if rv else ''}signs({s1:+d},{s2:+d})", sw, rv, s1, s2)
-    for sw in (False, True)
-    for rv in (False, True)
-    for s1 in (1, -1)
-    for s2 in (1, -1)
+# names of the transforms search.equivalents applies, in its order: swap the
+# members, reverse both, then negate the first and/or the second
+_TRANSFORM_NAMES = [
+    f"{swap}{rev}signs({s1},{s2})"
+    for rev in ("", "reverse,")
+    for swap in ("", "swap,")
+    for s1 in ("+1", "-1")
+    for s2 in ("+1", "-1")
 ]
 
 
 def _explain_equivalence(got, want):
     """Name a pair-equivalence transform mapping `got` onto `want`, if any."""
-    for name, sw, rv, s1, s2 in _TRANSFORMS:
-        p, q = (got.second, got.first) if sw else (got.first, got.second)
-        if rv:
-            p, q = p.reverse(), q.reverse()
-        if s1 < 0:
-            p = p.negate()
-        if s2 < 0:
-            q = q.negate()
-        if SequencePair(p, q) == want:
+    for name, pair in zip(_TRANSFORM_NAMES, equivalents(got)):
+        if pair == want:
             return name
     return None
 
@@ -79,7 +72,7 @@ def reproduce_table1(search_limit=12):
     for entry in catalog.table1_entries():
         pair = entry.pair
         v = classify(pair)
-        _profile_checks(checks, entry.id, pair, entry)
+        _profile_checks(checks, entry.id, v, entry)
         _check(checks, f"{entry.id}.width", entry.width, v.czcp_width)
         _check(checks, f"{entry.id}.optimal", True, v.is_optimal)
         _check(checks, f"{entry.id}.mid_abs", 2, abs(v.mid_aacs))
@@ -122,8 +115,8 @@ def reproduce_table2():
         checks.append(
             Check(f"{label}.sequences", matched, "exact or equivalent", actual)
         )
-        _profile_checks(checks, label, entry.pair, entry)
         v = classify(entry.pair)
+        _profile_checks(checks, label, v, entry)
         _check(checks, f"{label}.width", entry.width, v.czcp_width)
         _check(checks, f"{label}.optimal", True, v.is_optimal)
         _check(checks, f"{label}.guaranteed_width", entry.width, rep.guaranteed_width)
@@ -140,7 +133,7 @@ def reproduce_example1():
     rep = construct_theorem1(gcp10, k6)
     _check(checks, "ex1.first", str(entry.pair.first), str(rep.pair.first))
     _check(checks, "ex1.second", str(entry.pair.second), str(rep.pair.second))
-    _profile_checks(checks, "ex1", rep.pair, entry)
+    _profile_checks(checks, "ex1", rep.verdict, entry)
     _check(checks, "ex1.width", entry.width, rep.measured_width)
     _check(checks, "ex1.guaranteed_width", 24, rep.guaranteed_width)
     _check(checks, "ex1.sign_condition", True, rep.condition_eq4)

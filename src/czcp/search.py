@@ -40,7 +40,6 @@ from typing import Optional
 
 import numpy as np
 
-from .correlation import aacs_profile
 from .sequences import BinarySequence, SequencePair
 from .verify import czcp_width, golay_factorization
 
@@ -59,7 +58,6 @@ class SearchSpec:
 
     m: int
     mid_abs: Optional[int] = None
-    require_optimal: bool = True
     shards: int = 1
     shard_index: int = 0
     allow_large: bool = False
@@ -271,8 +269,7 @@ def run_search(spec, progress=None):
         pair = SequencePair(
             _word_to_sequence(x, spec.m), _word_to_sequence(y, spec.m)
         )
-        width = czcp_width(pair)
-        if width != target and (spec.require_optimal or width < target):
+        if czcp_width(pair) != target:
             continue
         rep = canonicalize(pair)
         canonical[rep.texts()] = rep
@@ -329,27 +326,3 @@ def run_search_parallel(spec, jobs, progress=None):
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         results = list(pool.map(_run_shard, specs))
     return merge_results(results)
-
-
-def brute_force_search(m, mid_abs=None, require_optimal=True):
-    """Oracle: scan all 2^(2M) unconstrained pairs (tiny M only)."""
-    target = m // 2 - 1
-    canonical = {}
-    scanned = 0
-    for wa in range(1 << m):
-        a = _word_to_sequence(wa, m)
-        for wb in range(1 << m):
-            scanned += 1
-            pair = SequencePair(a, _word_to_sequence(wb, m))
-            width = czcp_width(pair)
-            if width != target and (require_optimal or width < target):
-                continue
-            if mid_abs is not None:
-                if abs(int(aacs_profile(pair)[m // 2])) != mid_abs:
-                    continue
-            rep = canonicalize(pair)
-            canonical[rep.texts()] = rep
-    pairs = tuple(canonical[k] for k in sorted(canonical))
-    return SearchResult(
-        pairs=pairs, classes=len(pairs), candidates_scanned=scanned, elapsed=0.0
-    )

@@ -9,11 +9,17 @@ Width conventions (all shifts positive; negative shifts follow by symmetry):
 * The CZC ratio divides the width by N/2 for perfect pairs and by
   N/2 - 1 otherwise; it is kept as an exact Fraction and only defined
   for even N.
+
+classify computes the two profiles (AACS and ACCS at shifts 0..N-1) once
+per pair, and _verdict derives every field of the PairVerdict from them;
+the verdict carries both profiles, so no caller computes them again. The
+public width helpers (zcp_width, czcp_width, is_gcp, czc_ratio) read a
+field of classify's verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -55,54 +61,6 @@ def golay_factorization(n):
     return GolayFactorization(alpha, beta, gamma)
 
 
-def _zcp_width(aacs):
-    nz = np.nonzero(aacs[1:])[0]
-    return aacs.size if nz.size == 0 else int(nz[0]) + 1
-
-
-def _czcp_width(aacs, accs):
-    n = aacs.size
-    caps = [n // 2]
-    head = np.nonzero(aacs[1:])[0]
-    caps.append(int(head[0]) if head.size else n)  # AACS zero through Z: Z <= first_nz - 1
-    for prof in (aacs, accs):
-        tail = np.nonzero(prof[1:])[0]
-        if tail.size:
-            caps.append(n - 1 - (int(tail[-1]) + 1))  # zero for u >= N-Z: Z <= N-1-last_nz
-        else:
-            caps.append(n)
-    return max(0, min(caps))
-
-
-def _czc_ratio(n, z):
-    if z == n // 2:
-        return Fraction(1)
-    if z == 0:
-        return Fraction(0)
-    return Fraction(z, n // 2 - 1)
-
-
-def zcp_width(pair):
-    """Largest Z with AACS zero for all 0 < u < Z; N when the pair is a GCP."""
-    return _zcp_width(aacs_profile(pair))
-
-
-def czcp_width(pair):
-    """Largest Z <= N/2 satisfying both CZCP zone conditions (0 if none)."""
-    return _czcp_width(aacs_profile(pair), accs_profile(pair))
-
-
-def is_gcp(pair):
-    return zcp_width(pair) == pair.n
-
-
-def czc_ratio(pair):
-    """Exact CZC ratio Z / Z_max for even-length pairs."""
-    if pair.n % 2:
-        raise ValueError("CZC ratio is defined for even lengths only")
-    return _czc_ratio(pair.n, czcp_width(pair))
-
-
 def lemma5_structure_holds(pair, z):
     """Half-sequence structure necessary for an (N, Z)-CZCP.
 
@@ -142,7 +100,11 @@ def lemma9_condition_holds(pair):
 
 @dataclass(frozen=True)
 class PairVerdict:
-    """Full classification record for one pair."""
+    """Full classification record for one pair, with the profiles it came from.
+
+    aacs and accs are read-only int64 vectors over shifts 0..N-1; they take
+    no part in equality, hashing or repr.
+    """
 
     n: int
     zcp_width: int
@@ -154,39 +116,75 @@ class PairVerdict:
     z_max: Optional[int]
     mid_aacs: Optional[int]
     golay: Optional[GolayFactorization]
+    aacs: np.ndarray = field(compare=False, repr=False)
+    accs: np.ndarray = field(compare=False, repr=False)
 
 
-def classify(pair):
-    """Populate a PairVerdict for the pair; never raises on odd lengths.
+def _verdict(aacs, accs):
+    """The PairVerdict of the pair whose profiles (shifts 0..N-1) these are.
 
-    Both correlation profiles are computed once and every field is derived
-    from them.
+    The one place where profiles become widths. Index j of aacs[1:] is
+    shift j+1. The CZCP width is capped by N/2, by the last shift before
+    AACS first turns nonzero, and by N-1 minus the last shift at which
+    AACS or ACCS is nonzero. The verdict keeps both arrays and marks them
+    read-only.
     """
-    n = pair.n
-    aacs = aacs_profile(pair)
-    accs = accs_profile(pair)
-    z_zcp = _zcp_width(aacs)
-    z = _czcp_width(aacs, accs)
-    gcp = z_zcp == n
+    n = aacs.size
+    head = np.flatnonzero(aacs[1:])
+    z_zcp = int(head[0]) + 1 if head.size else n
+    tail = np.flatnonzero(aacs[1:] | accs[1:])  # integer OR: zero only where both are
+    last = int(tail[-1]) + 1 if tail.size else 0
+    z = min(n // 2, z_zcp - 1, n - 1 - last)
     if n % 2:
-        perfect = False
-        ratio = None
-        z_max = None
-        mid = None
+        perfect, ratio, z_max, mid = False, None, None, None
     else:
         perfect = z == n // 2
         z_max = n // 2 if perfect else n // 2 - 1
-        ratio = _czc_ratio(n, z)
+        ratio = Fraction(z, z_max) if z else Fraction(0)
         mid = int(aacs[n // 2])
+    aacs.setflags(write=False)
+    accs.setflags(write=False)
     return PairVerdict(
         n=n,
         zcp_width=z_zcp,
         czcp_width=z,
-        is_gcp=gcp,
+        is_gcp=z_zcp == n,
         is_perfect=perfect,
         is_optimal=ratio == 1,
         czc_ratio=ratio,
         z_max=z_max,
         mid_aacs=mid,
         golay=golay_factorization(n),
+        aacs=aacs,
+        accs=accs,
     )
+
+
+def classify(pair):
+    """Populate a PairVerdict for the pair; never raises on odd lengths.
+
+    Both correlation profiles are computed once, here, and every field is
+    derived from them by _verdict.
+    """
+    return _verdict(aacs_profile(pair), accs_profile(pair))
+
+
+def zcp_width(pair):
+    """Largest Z with AACS zero for all 0 < u < Z; N when the pair is a GCP."""
+    return classify(pair).zcp_width
+
+
+def czcp_width(pair):
+    """Largest Z <= N/2 satisfying both CZCP zone conditions (0 if none)."""
+    return classify(pair).czcp_width
+
+
+def is_gcp(pair):
+    return classify(pair).is_gcp
+
+
+def czc_ratio(pair):
+    """Exact CZC ratio Z / Z_max for even-length pairs."""
+    if pair.n % 2:
+        raise ValueError("CZC ratio is defined for even lengths only")
+    return classify(pair).czc_ratio

@@ -11,8 +11,16 @@ import random
 import numpy as np
 import pytest
 
-from czcp.search import SearchSpec, _decode, _scan_block, _word_to_sequence
+from czcp.search import (
+    SearchResult,
+    SearchSpec,
+    _decode,
+    _scan_block,
+    _word_to_sequence,
+    canonicalize,
+)
 from czcp.sequences import BinarySequence, SequencePair
+from czcp.verify import classify
 
 
 @pytest.fixture
@@ -107,3 +115,28 @@ def check_scan_block(rng, m, sample):
         want = [i for i in sorted(chosen) if ref_seed_shape(pairs[i], mid_abs)]
         assert [int(v) for v in _scan_block(block, m, mid_abs)] == want, (m, mid_abs)
     return len(found)
+
+
+def brute_force_search(m, mid_abs=None):
+    """Optimal (M, M/2-1) classes over all 2^(2M) unconstrained pairs (tiny M only).
+
+    The reference for run_search: no half-sequence structure, no join.
+    """
+    canonical = {}
+    scanned = 0
+    for wa in range(1 << m):
+        a = _word_to_sequence(wa, m)
+        for wb in range(1 << m):
+            scanned += 1
+            pair = SequencePair(a, _word_to_sequence(wb, m))
+            v = classify(pair)
+            if v.czcp_width != m // 2 - 1:
+                continue
+            if mid_abs is not None and abs(v.mid_aacs) != mid_abs:
+                continue
+            rep = canonicalize(pair)
+            canonical[rep.texts()] = rep
+    pairs = tuple(canonical[k] for k in sorted(canonical))
+    return SearchResult(
+        pairs=pairs, classes=len(pairs), candidates_scanned=scanned, elapsed=0.0
+    )

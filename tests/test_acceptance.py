@@ -14,7 +14,6 @@ from czcp import catalog
 from czcp.correlation import aacs_profile, accs_profile
 from czcp.search import (
     SearchSpec,
-    brute_force_search,
     canonicalize,
     merge_results,
     run_search,
@@ -23,7 +22,7 @@ from czcp.sequences import BinarySequence, SequencePair
 from czcp.turyn import construct_theorem1
 from czcp.verify import classify, czcp_width
 
-from conftest import check_scan_block, ref_accf
+from conftest import brute_force_search, check_scan_block, ref_accf
 
 SEED_IDS = ("K6", "K12", "K24", "K28")
 

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from czcp import catalog
 from czcp.cli import main
 from czcp.correlation import aacs_profile, accs_profile
-from czcp.sequences import SequencePair
+from czcp.sequences import BinarySequence, SequencePair
 
 with open("src/czcp/report.schema.json") as fh:
     SCHEMA = json.load(fh)
@@ -137,6 +137,29 @@ def test_construct_from_files(tmp_path, capsys):
     assert report["construction"]["verdict"]["czcp_width"] == 5
 
 
+def test_profiles_computed_once_per_pair(tmp_path, capsys, monkeypatch):
+    # one classify per pair is three correlations (a.a, b.b, a.b); the CLI
+    # prints and emits the profiles the verdicts carry
+    import czcp.correlation as correlation
+
+    calls = []
+    real = correlation._correlate
+
+    def counted(x, y):
+        calls.append(len(x))
+        return real(x, y)
+
+    monkeypatch.setattr(correlation, "_correlate", counted)
+    gcp = write_pair(tmp_path, catalog.golay_pair(10), "g.txt")
+    for flags in (["--json"], []):
+        calls.clear()
+        assert run_cli(capsys, "construct", "--gcp", gcp, "--seed", "K6", *flags)[0] == 0
+        assert sorted(calls) == [6] * 3 + [10] * 3 + [60] * 3
+        calls.clear()
+        assert run_cli(capsys, "verify", *flags, "--", "+----+", "+-+++-")[0] == 0
+        assert calls == [6] * 3
+
+
 def test_search_finds_seed_class(capsys):
     code, report = run_json(capsys, "search", "--length", "6", "--mid-abs", "2")
     assert code == 0
@@ -151,35 +174,18 @@ def test_search_finds_seed_class(capsys):
 def test_search_shard_union_equals_single(capsys):
     code, single = run_json(capsys, "search", "--length", "12", "--mid-abs", "2")
     assert code == 0
-    code, sharded = run_json(
-        capsys, "search", "--length", "12", "--mid-abs", "2", "--shards", "4"
-    )
-    assert code == 0
-    assert single["search"]["results"] == sharded["search"]["results"]
-
-
-def test_search_shards_without_shard_scan_once(capsys, monkeypatch):
-    # --shards K alone is one run over the whole space, so elapsed_s is that
-    # run's time, not the longest of K runs made one after another
-    import czcp.search as search_mod
-
-    runs = []
-    real = search_mod.run_search
-
-    def recording(spec, progress=None):
-        result = real(spec, progress)
-        runs.append((spec.shard_range, result.elapsed))
-        return result
-
-    monkeypatch.setattr(search_mod, "run_search", recording)
-    code, report = run_json(
-        capsys, "search", "--length", "12", "--mid-abs", "2", "--shards", "4"
-    )
-    assert code == 0
-    assert [r for r, _ in runs] == [(0, 8192)]
-    assert report["search"]["elapsed_s"] == runs[0][1]
-    assert report["search"]["shards"] == 4
-    assert report["search"]["candidates_scanned"] == 8192
+    results, scanned = set(), 0
+    for shard in range(4):
+        code, part = run_json(
+            capsys, "search", "--length", "12", "--mid-abs", "2",
+            "--shards", "4", "--shard", str(shard),
+        )
+        assert code == 0
+        assert (part["search"]["shards"], part["search"]["shard"]) == (4, shard)
+        results |= {(r["first"], r["second"]) for r in part["search"]["results"]}
+        scanned += part["search"]["candidates_scanned"]
+    assert scanned == single["search"]["candidates_scanned"] == 8192
+    assert sorted(results) == [(r["first"], r["second"]) for r in single["search"]["results"]]
 
 
 def test_search_single_shard_run(capsys):
@@ -209,6 +215,7 @@ def test_search_large_refused_with_estimate(capsys):
         ["--length", "6", "--mid-abs", "-1"],
         ["--length", "42"],
         ["--length", "64"],
+        ["--length", "12", "--shards", "4"],  # K > 1 shards need --shard
     ],
 )
 def test_search_bad_input_exits_2(capsys, argv):
@@ -313,6 +320,35 @@ def test_reproduce_tables(capsys, target):
     code, report = run_json(capsys, "reproduce", target)
     assert code == 0, [c for c in report["reproduce"]["checks"] if not c["ok"]]
     assert report["reproduce"]["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "transform, actual",
+    [
+        (lambda a, b: (b, a), "equivalent via swap,signs(+1,+1)"),
+        (lambda a, b: (a.reverse(), b.reverse()), "equivalent via reverse,signs(+1,+1)"),
+        (lambda a, b: (a, b.negate()), "equivalent via signs(+1,-1)"),
+        (
+            lambda a, b: (b.reverse().negate(), a.reverse()),
+            "equivalent via swap,reverse,signs(-1,+1)",
+        ),
+        (lambda a, b: (a, BinarySequence([-b[0]] + list(b)[1:])), "mismatch"),
+    ],
+)
+def test_reproduce_table2_names_equivalent_rows(monkeypatch, transform, actual):
+    # every embedded row is rebuilt exactly, so only a transformed row
+    # reaches the equivalence branch
+    from dataclasses import replace
+
+    from czcp import reproduce
+
+    entries = catalog.table2_entries()
+    row = entries[0]
+    changed = replace(row, pair=SequencePair(*transform(row.pair.first, row.pair.second)))
+    monkeypatch.setattr(catalog, "table2_entries", lambda: (changed,) + entries[1:])
+    report = reproduce.reproduce("table2")
+    check = next(c for c in report.checks if c.name == f"{row.id}.sequences")
+    assert (check.ok, check.actual) == (actual != "mismatch", actual)
 
 
 def test_console_entry_point():

@@ -9,7 +9,6 @@ from czcp.search import (
     _join,
     _scan_block,
     _word_to_sequence,
-    brute_force_search,
     canonicalize,
     equivalents,
     merge_results,
@@ -18,7 +17,7 @@ from czcp.search import (
 from czcp.sequences import SequencePair
 from czcp.verify import classify, lemma5_structure_holds
 
-from conftest import random_pair, ref_aacs
+from conftest import brute_force_search, random_pair, ref_aacs
 
 
 def test_canonicalize_idempotent(rng):

@@ -1,8 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from czcp import catalog, verify
+from czcp.correlation import aacs_profile, accs_profile
 from czcp.search import equivalents
 from czcp.sequences import BinarySequence, SequencePair
 from czcp.verify import (
@@ -249,3 +252,17 @@ def test_classify_computes_each_profile_once(monkeypatch, rng):
         assert v.czcp_width == czcp_width(pair)
         if pair.n % 2 == 0:
             assert v.czc_ratio == czc_ratio(pair)
+
+
+def test_verdict_carries_read_only_profiles(rng):
+    for pair in (catalog.get("EX1").pair, random_pair(rng, 9), random_pair(rng, 600)):
+        v = classify(pair)
+        for got, want in ((v.aacs, aacs_profile(pair)), (v.accs, accs_profile(pair))):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+            with pytest.raises(ValueError):
+                got[0] = 0
+        # the profiles take no part in equality, hashing or repr
+        other = replace(v, aacs=np.zeros_like(v.aacs), accs=np.zeros_like(v.accs))
+        assert other == v and hash(other) == hash(v)
+        assert repr(other) == repr(v) and " aacs=" not in repr(v)
