@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .sequences import SequencePair
-from .turyn import normalize_gcp_for_theorem, turyn_compose
+from .turyn import _oppose_leading_signs, turyn_compose
 from .verify import czcp_width, golay_factorization
 
 
@@ -247,9 +247,10 @@ def czcp_gcp(n, order="desc", normalize=False):
     the requested order attains it is measured, never assumed.
     """
     pair = golay_pair(n, order=order)
-    if normalize:
-        pair = normalize_gcp_for_theorem(pair)
     width = czcp_width(pair)
+    if normalize:
+        # golay_pair builds a GCP, and the sign flip changes no width
+        pair = _oppose_leading_signs(pair)
     family, expected = _family_expectation(n)
     meets = None if expected is None else width >= expected
     return GcpCzcpReport(

@@ -346,6 +346,7 @@ def build_parser():
         description="Verify, construct and search binary cross Z-complementary pairs.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
+    parser.commands = sub.choices  # command name -> its parser
 
     p = sub.add_parser("verify", help="classify a pair from a file, stdin or inline")
     p.add_argument(
@@ -405,13 +406,26 @@ def build_parser():
     return parser
 
 
+def _asks_for_json(parser, argv):
+    """Whether argv's options name --json, spelled out or abbreviated as argparse allows."""
+    if not argv or argv[0] not in _COMMANDS:
+        return False
+    names = parser.commands[argv[0]]._option_string_actions
+    options = argv[1 : argv.index("--")] if "--" in argv else argv[1:]
+    for token in options:
+        prefix = token.split("=", 1)[0]
+        if prefix.startswith("--") and [n for n in names if n.startswith(prefix)] == ["--json"]:
+            return True
+    return False
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except _UsageError as exc:
-        options = argv[: argv.index("--")] if "--" in argv else argv
-        if argv and argv[0] in _COMMANDS and "--json" in options:
+        if _asks_for_json(parser, argv):
             return _fail(argparse.Namespace(cmd=argv[0], json=True), "bad_args", str(exc))
         argparse.ArgumentParser.error(exc.parser, str(exc))  # usage text, exit 2
     return args.func(args)

@@ -15,6 +15,22 @@ yields an (NM, NZ)-CZCP, and when the first pair is itself a CZCP of
 width Z_A and the middle-column sign condition holds, the width improves
 to (M/2 - 1)*N + Z_A with the composite AACS vanishing everywhere except
 shifts 0 and MN/2.
+
+The composite's profiles follow from the inputs' own correlations by
+Turyn's polynomial identity (R. J. Turyn, J. Combin. Theory A 16, 1974).
+Write Y*(z) = Y(1/z), so the coefficient of z^u in X*(z)Y(z) is
+rho(x, y; u) = sum x_i y_(i+u); let P = (a+b)/2, Q = (b-a)/2 and w = z^N.
+Then
+
+    AACS_st(z) = AACS_cd(w) * AACS_ab(z) / 2
+    ACCS_st(z) = ACCS_cd(w) * ACCS_ab(z) / 2 + X(z) + X(1/z)
+    X(z)       = w^(M-1) * (C*^2 - D*^2)(w) * (P*Q)(z)
+
+with 4*rho(P, Q; u) = rho(a,b;u) - rho(b,a;u) + rho(b,b;u) - rho(a,a;u).
+composite_profiles evaluates the right sides from three length-N and five
+length-M correlations plus O(MN) integer block adds, so the constructions
+derive their output's verdict without correlating the length-MN pair;
+`czcp verify` (classify) measures a pair's profiles directly.
 """
 
 from __future__ import annotations
@@ -24,10 +40,12 @@ from typing import Optional
 
 import numpy as np
 
+from . import correlation
 from .sequences import BinarySequence, SequencePair, kronecker
 from .verify import (
     PairVerdict,
     _middle_terms,
+    _verdict,
     classify,
     czcp_width,
     golay_factorization,
@@ -56,6 +74,44 @@ def turyn_compose(first_pair, second_pair):
     return SequencePair(BinarySequence(s), BinarySequence(t))
 
 
+def _add_block_product(blocks, y, z):
+    """Add the coefficients of Y(z^N)*Z(z) at z^0..z^(MN-1) into blocks, an (M, N) array.
+
+    y holds Y's coefficients at w^(1-M)..w^(M-1) and z holds Z's at
+    z^(1-N)..z^(N-1), both in _correlate's full layout. Shift qN + r with
+    0 <= r < N collects Y_q*Z_r and, for r >= 1, Y_(q+1)*Z_(r-N).
+    """
+    m, n = blocks.shape
+    blocks += np.multiply.outer(y[m - 1 :], z[n - 1 :])
+    blocks[:-1, 1:] += np.multiply.outer(y[m:], z[: n - 1])
+
+
+def composite_profiles(first_pair, second_pair):
+    """(aacs, accs) of turyn_compose(first_pair, second_pair) at shifts 0..MN-1.
+
+    Evaluates Turyn's identity (see the module docstring) from correlations
+    of the inputs; every step is exact int64 arithmetic and the divisions
+    by 2 and 4 leave no remainder. Both vectors are fresh and contiguous.
+    """
+    a, b = first_pair.first, first_pair.second
+    c, d = second_pair.first, second_pair.second
+    n, m = a.n, c.n
+    corr = correlation._correlate
+    aa, bb, ab = corr(a, a), corr(b, b), corr(a, b)
+    cc, dd, cd = corr(c, c), corr(d, d), corr(c, d)
+    ba, dc = ab[::-1], cd[::-1]
+    pq = (ab - ba + bb - aa) // 4  # rho(P, Q; u)
+    squares = corr(c, c.reverse()) - corr(d, d.reverse())  # w^(M-1)*(C*^2 - D*^2)(w)
+    aacs = np.zeros(m * n, dtype=np.int64)
+    accs = np.zeros(m * n, dtype=np.int64)
+    _add_block_product(aacs.reshape(m, n), cc + dd, (aa + bb) // 2)
+    blocks = accs.reshape(m, n)
+    _add_block_product(blocks, cd + dc, (ab + ba) // 2)
+    _add_block_product(blocks, squares, pq)  # X(z)
+    _add_block_product(blocks, squares[::-1], pq[::-1])  # X(1/z)
+    return aacs, accs
+
+
 def condition_eq4_holds(first_pair, second_pair):
     """Sign condition coupling the leading signs of (a,b) to (c,d)'s middle columns."""
     r = first_pair.first[0] * first_pair.second[0]
@@ -63,13 +119,18 @@ def condition_eq4_holds(first_pair, second_pair):
     return (r + 1) * x + (r - 1) * y == 0
 
 
+def _oppose_leading_signs(pair):
+    # negating the second member keeps AACS and only negates ACCS, so no width changes
+    if pair.first[0] == pair.second[0]:
+        return SequencePair(pair.first, pair.second.negate())
+    return pair
+
+
 def normalize_gcp_for_theorem(pair):
     """Fix a0 = -b0 for a GCP by negating the second member when needed."""
     if not is_gcp(pair):
         raise ConstructionError("not_gcp", "normalization requires a GCP")
-    if pair.first[0] == pair.second[0]:
-        return SequencePair(pair.first, pair.second.negate())
-    return pair
+    return _oppose_leading_signs(pair)
 
 
 @dataclass(frozen=True)
@@ -98,7 +159,7 @@ def _compose_report(
     first, second, guaranteed, basis="lemma8", condition_eq4=None, normalized=False, warnings=()
 ):
     out = turyn_compose(first, second)
-    verdict = classify(out)
+    verdict = _verdict(*composite_profiles(first, second))
     return ConstructionReport(
         pair=out,
         guaranteed_width=guaranteed,

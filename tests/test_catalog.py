@@ -1,7 +1,8 @@
 import pytest
 
-from czcp import catalog
+from czcp import catalog, correlation
 from czcp.correlation import aacs_profile, accs_profile
+from czcp.turyn import normalize_gcp_for_theorem
 from czcp.verify import classify, czcp_width, is_gcp
 
 
@@ -101,6 +102,26 @@ def test_czcp_gcp_normalized_keeps_width():
     assert plain.width == normalized.width
     first = normalized.pair
     assert first.first[0] == -first.second[0]
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_czcp_gcp_classifies_once(monkeypatch, normalize):
+    # one classify, three length-n correlations; golay_pair itself correlates nothing
+    want = catalog.golay_pair(1040)
+    if normalize:
+        want = normalize_gcp_for_theorem(want)
+    width = czcp_width(want)
+    calls = []
+    real = correlation._correlate
+
+    def counted(x, y):
+        calls.append(len(x))
+        return real(x, y)
+
+    monkeypatch.setattr(correlation, "_correlate", counted)
+    rep = catalog.czcp_gcp(1040, normalize=normalize)
+    assert calls == [1040] * 3
+    assert rep.pair == want and rep.width == width
 
 
 def test_optimal_lengths_summary():

@@ -139,7 +139,9 @@ def test_construct_from_files(tmp_path, capsys):
 
 def test_profiles_computed_once_per_pair(tmp_path, capsys, monkeypatch):
     # one classify per pair is three correlations (a.a, b.b, a.b); the CLI
-    # prints and emits the profiles the verdicts carry
+    # prints and emits the profiles the verdicts carry. construct classifies
+    # its two inputs and derives the output's profiles from three more
+    # length-N and five length-M correlations, never one of length MN
     import czcp.correlation as correlation
 
     calls = []
@@ -154,7 +156,7 @@ def test_profiles_computed_once_per_pair(tmp_path, capsys, monkeypatch):
     for flags in (["--json"], []):
         calls.clear()
         assert run_cli(capsys, "construct", "--gcp", gcp, "--seed", "K6", *flags)[0] == 0
-        assert sorted(calls) == [6] * 3 + [10] * 3 + [60] * 3
+        assert sorted(calls) == [6] * 8 + [10] * 6
         calls.clear()
         assert run_cli(capsys, "verify", *flags, "--", "+----+", "+-+++-")[0] == 0
         assert calls == [6] * 3
@@ -247,17 +249,26 @@ def test_search_jobs_outside_cpu_count_refused(capsys, monkeypatch, jobs):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["construct", "--gcp", "GCP2"],
-        ["construct", "--gcp", "GCP2", "--seed", "K6", "--mode", "nope"],
-        ["search", "--length", "6", "--bogus"],
-        ["search", "--length", "six"],
-        ["verify", "--bogus"],
-        ["catalog", "K6", "K12"],
-        ["reproduce", "table9"],
+        ["construct", "--gcp", "GCP2", "--json"],
+        ["construct", "--gcp", "GCP2", "--seed", "K6", "--mode", "nope", "--json"],
+        ["search", "--length", "6", "--bogus", "--json"],
+        ["search", "--length", "six", "--json"],
+        ["verify", "--bogus", "--json"],
+        ["catalog", "K6", "K12", "--json"],
+        ["reproduce", "table9", "--json"],
+        # any abbreviation argparse accepts for --json
+        ["construct", "--js", "--gcp", "GCP10"],
+        ["construct", "--jso", "--gcp", "GCP10"],
+        ["construct", "--j", "--gcp", "GCP10"],
+        ["search", "--js", "--length", "6", "--bogus"],
+        ["verify", "--j", "--bogus"],
+        ["catalog", "--jso", "K6", "K12"],
+        ["reproduce", "--js", "table9"],
+        ["verify", "--js=1"],
     ],
 )
 def test_usage_errors_under_json_are_reports(capsys, argv):
-    code, out, err = run_cli(capsys, *argv, "--json")
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     report = json.loads(out)
     jsonschema.validate(report, SCHEMA)
@@ -274,6 +285,23 @@ def test_usage_errors_without_json_print_usage(capsys):
     assert out.out == ""
     assert "usage: czcp" in out.err
     assert "unrecognized arguments: --bogus" in out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--j", "--length", "6"],  # --jobs or --json
+        ["construct", "--gcp", "GCP2", "--", "--js"],  # past --, not an option
+        ["construct", "--gcp", "GCP2", "--jsonx"],
+    ],
+)
+def test_usage_errors_without_a_json_option_print_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "usage: czcp" in out.err
 
 
 def test_search_odd_length_refused(capsys):

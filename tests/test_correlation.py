@@ -3,7 +3,7 @@ import decimal
 import numpy as np
 import pytest
 
-from czcp import correlation
+from czcp import catalog, correlation
 from czcp.correlation import (
     KRONECKER_MIN_N,
     _kronecker_correlate,
@@ -13,6 +13,7 @@ from czcp.correlation import (
     accs_profile,
 )
 from czcp.sequences import BinarySequence, SequencePair, parse_sequence
+from czcp.turyn import composite_profiles, turyn_compose
 
 from conftest import (
     check_scan_block,
@@ -216,6 +217,17 @@ def test_kronecker_kernel_matches_correlate_and_reference(rng, n, kind):
     aacs, accs = aacs_profile(pair), accs_profile(pair)
     assert [aacs[u] for u in shifts] == [ref_aacs(pair, u) for u in shifts]
     assert [accs[u] for u in shifts] == [ref_accs(pair, u) for u in shifts]
+
+
+def test_kronecker_kernel_at_every_shift_above_1e5():
+    # classify of a length-116480 pair takes the decimal kernel; Turyn's identity
+    # gives the same profiles from correlations of lengths 4160 and 28
+    first, second = catalog.golay_pair(4160), catalog.seed("K28").pair
+    pair = turyn_compose(first, second)
+    assert pair.n == 116480 > 10**5
+    aacs, accs = composite_profiles(first, second)
+    assert np.array_equal(aacs_profile(pair), aacs)
+    assert np.array_equal(accs_profile(pair), accs)
 
 
 @pytest.mark.parametrize("n", [(1 << 16) - 1, 1 << 16])

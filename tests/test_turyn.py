@@ -1,10 +1,13 @@
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from czcp import catalog
+from czcp import catalog, reproduce, turyn
 from czcp.correlation import aacs_profile, accs_profile
-from czcp.sequences import SequencePair
+from czcp.sequences import BinarySequence, SequencePair
 from czcp.turyn import (
     ConstructionError,
+    composite_profiles,
     condition_eq4_holds,
     construct_gcp,
     construct_lemma8,
@@ -217,3 +220,75 @@ def test_reports_never_overpromise(rng):
     combos.append(construct_lemma8(catalog.golay_pair(8), catalog.seed("K6").pair))
     for rep in combos:
         assert rep.measured_width >= rep.guaranteed_width
+
+
+# --- composite profiles from Turyn's identity ----------------------------------
+
+
+def assert_direct_profiles(first, second):
+    """composite_profiles against classify of the composed pair, at every shift."""
+    direct = classify(turyn_compose(first, second))
+    aacs, accs = composite_profiles(first, second)
+    assert np.array_equal(aacs, direct.aacs), (first.n, second.n)
+    assert np.array_equal(accs, direct.accs), (first.n, second.n)
+
+
+def test_composite_profiles_for_every_reproduced_construction(monkeypatch):
+    # every (first, second) pair the reproduce targets compose, normalized or not
+    seen = []
+    real = turyn.composite_profiles
+
+    def recorded(first, second):
+        seen.append((first, second))
+        return real(first, second)
+
+    monkeypatch.setattr(turyn, "composite_profiles", recorded)
+    for target in reproduce.TARGETS:
+        assert reproduce.reproduce(target).ok, target
+    sizes = {(first.n, second.n) for first, second in seen}
+    assert {(2, m) for m in (6, 12, 24, 28)} <= sizes  # table2
+    assert (10, 6) in sizes  # example1
+    assert {(n, m) for n in (2, 4, 10, 26) for m in (6, 12, 24, 28)} <= sizes  # table3
+    assert {(n, m) for n in (2, 4) for m in (48, 56)} <= sizes  # lemma8 rows
+    for first, second in seen:
+        assert_direct_profiles(first, second)
+
+
+_PAIRS = st.integers(1, 40).flatmap(
+    lambda n: st.tuples(*[st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)] * 2)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(first=_PAIRS, second=_PAIRS)
+@example(first=([1], [-1]), second=([-1], [-1]))
+@example(first=([1], [1]), second=([1, -1, -1, 1, 1, 1, -1], [-1, 1, 1, 1, -1, 1, 1]))
+@example(first=([1, -1, -1, 1, 1, 1, -1], [-1, 1, 1, 1, -1, 1, 1]), second=([1], [-1]))
+def test_composite_profiles_match_direct_on_random_pairs(first, second):
+    # any +-1 pairs: lengths 1 and odd lengths included, no GCP or CZCP needed
+    def pair(values):
+        return SequencePair(BinarySequence(values[0]), BinarySequence(values[1]))
+
+    assert_direct_profiles(pair(first), pair(second))
+
+
+@pytest.mark.parametrize("n, m", [(2, 80), (4, 26), (10, 1040)])
+def test_construct_gcp_profiles_with_longer_second_pair(n, m):
+    # M > N; at M = 1040 the second pair's correlations take the decimal kernel
+    rep = construct_gcp(catalog.golay_pair(n), catalog.golay_pair(m))
+    direct = classify(rep.pair)
+    assert np.array_equal(rep.verdict.aacs, direct.aacs)
+    assert np.array_equal(rep.verdict.accs, direct.accs)
+    assert rep.verdict == direct and rep.verdict.is_gcp
+
+
+def test_construction_verdict_arrays_match_classify():
+    # contiguous read-only int64 of length MN, owning their data like classify's
+    rep = construct_theorem1(catalog.golay_pair(10), catalog.seed("K28").pair)
+    direct = classify(rep.pair)
+    assert rep.verdict == direct
+    for got, want in ((rep.verdict.aacs, direct.aacs), (rep.verdict.accs, direct.accs)):
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape == (280,)
+        assert got.flags.c_contiguous and not got.flags.writeable
+        assert got.base is None and want.base is None
