@@ -8,15 +8,27 @@ Three routes to the same integers:
   (aacs_profile, accs_profile) use np.correlate on int64 arrays, which is
   also the reference the large-N kernel is tested against;
 * from KRONECKER_MIN_N up they use a Kronecker-substitution kernel: the -1
-  positions of rev(x) and of y become the d-digit slots, d = len(str(N)),
-  of two decimal integers, one multiplication yields every coincidence
-  count k_s as a slot of the product, and rho(x, y; s) follows from k_s
-  and prefix popcounts. The product is computed by the stdlib decimal
-  module (libmpdec), which multiplies large operands with an exact
+  positions of rev(x) and of y become the d-digit slots of two decimal
+  integers, one multiplication yields every coincidence count k_s as a
+  slot of the product, and rho(x, y; s) follows from k_s and prefix
+  popcounts. The product is computed by the stdlib decimal module
+  (libmpdec), which multiplies large operands with an exact
   number-theoretic transform over integer primes, O(N log N) per
   correlation against np.correlate's O(N^2); the decimal radix makes
   packing and unpacking a linear pass over ASCII digits. The crossover,
   about N = 560, was measured on a 2-vCPU x86-64 host.
+
+The slot width (_slot_width) is d = len(str(N)), the narrowest slot that
+holds k_s <= N, widened by one digit when that lifts the smaller operand
+out of libmpdec's quadratic base case. On 64-bit builds libmpdec stores 19
+digits per word, multiplies by the base case while the smaller operand
+has at most 256 words (4864 digits), and by Karatsuba above that (and by
+the transform once the product exceeds 1024 words). One product of two
+4864-digit operands took about 0.8 ms against 0.24 ms at 4865 digits on
+the host above. An operand's digits run from its top nonzero slot; when
+x[0] = y[N-1] = -1 the widening covers N = 1000..1216 (d = 4 -> 5), and
+leading zero slots move that range up. Any d >= len(str(N)) is exact,
+since no slot carries, so the width only changes speed.
 
 Either route returns all shifts 1-N..N-1, so accs_profile gets both cross
 terms from one correlation. The decimal route stays exact because its
@@ -63,6 +75,20 @@ _EXACT = decimal.Context(
     traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
 )
 _ZERO = ord("0")
+_BASECASE_MAX_DIGITS = 256 * 19  # libmpdec's largest base-case operand, 64-bit build
+
+
+def _slot_width(a, b):
+    # digits per slot for the indicators a (of x) and b (of y): len(str(N)), one
+    # more when that lifts the smaller operand out of libmpdec's base case.
+    # rev(A) starts at a's first 1 and B at b's last 1; the top slot's leading
+    # zeros are dropped, so s significant slots are (s-1)*d + 1 digits
+    n = a.size
+    d = len(str(n))
+    slots = n - max(int(np.argmax(a)), int(np.argmax(b[::-1])))
+    if (slots - 1) * d + 1 <= _BASECASE_MAX_DIGITS < (slots - 1) * (d + 1) + 1:
+        d += 1
+    return d
 
 
 def _decimal_slots(bits, d):
@@ -84,9 +110,9 @@ def _kronecker_correlate(xv, yv):
     slot carries into the next.
     """
     n = xv.size
-    d = len(str(n))
     a = xv < 0
     b = yv < 0
+    d = _slot_width(a, b)
     # most significant slot first, rev(A) reads a[0..N-1] and B reads b[N-1..0]
     product = str(_EXACT.multiply(_decimal_slots(a, d), _decimal_slots(b[::-1], d)))
     text = np.frombuffer(product.rjust((2 * n - 1) * d, "0").encode("ascii"), np.uint8)
@@ -116,10 +142,21 @@ def _correlate(x, y):
     return np.correlate(yv, xv, mode="full")
 
 
+def _aacs_tail(aa, bb):
+    # shifts 0..N-1 of aa + bb, two autocorrelations in _correlate's full layout
+    n = (aa.size + 1) // 2
+    return aa[n - 1 :] + bb[n - 1 :]
+
+
+def _accs_tail(ab):
+    # shifts 0..N-1 of rho(a,b;u) + rho(b,a;u) = ab[u] + ab[-u], full layout
+    n = (ab.size + 1) // 2
+    return ab[n - 1 :] + ab[n - 1 :: -1]
+
+
 def aacs_profile(pair):
     """Vector of rho(first;u) + rho(second;u) for u = 0..N-1."""
-    tail = slice(pair.n - 1, None)
-    return _correlate(pair.first, pair.first)[tail] + _correlate(pair.second, pair.second)[tail]
+    return _aacs_tail(_correlate(pair.first, pair.first), _correlate(pair.second, pair.second))
 
 
 def accs_profile(pair):
@@ -127,7 +164,5 @@ def accs_profile(pair):
 
     rho(second, first; u) = rho(first, second; -u), so one correlation holds both.
     """
-    n = pair.n
-    full = _correlate(pair.first, pair.second)
-    return full[n - 1 :] + full[n - 1 :: -1]
+    return _accs_tail(_correlate(pair.first, pair.second))
 

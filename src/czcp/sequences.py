@@ -148,4 +148,4 @@ def kronecker(blocks, fill):
     """
     b = blocks.values if isinstance(blocks, BinarySequence) else np.asarray(blocks)
     x = np.asarray(fill)
-    return np.kron(b.astype(np.int64), x.astype(np.int64))
+    return np.multiply.outer(b.astype(np.int64), x.astype(np.int64)).ravel()

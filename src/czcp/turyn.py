@@ -27,10 +27,15 @@ Then
     X(z)       = w^(M-1) * (C*^2 - D*^2)(w) * (P*Q)(z)
 
 with 4*rho(P, Q; u) = rho(a,b;u) - rho(b,a;u) + rho(b,b;u) - rho(a,a;u).
-composite_profiles evaluates the right sides from three length-N and five
-length-M correlations plus O(MN) integer block adds, so the constructions
-derive their output's verdict without correlating the length-MN pair;
-`czcp verify` (classify) measures a pair's profiles directly.
+composite_profiles evaluates the right sides from the first pair's three
+length-N correlations (a.a, b.b, a.b) and five length-M correlations plus
+O(MN) integer block adds, so the constructions derive their output's
+verdict without correlating the length-MN pair. Each construction takes
+the a.a, b.b, a.b triple once, in _require_gcp, derives the GCP check from
+it and hands the same triple to composite_profiles: three length-N
+correlations per construction, not six. Negating b (auto-normalization)
+negates a.b and leaves a.a and b.b alone. `czcp verify` (classify)
+measures a pair's profiles directly.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from .verify import (
     PairVerdict,
     _middle_terms,
     _verdict,
-    classify,
+    classify,  # noqa: F401  a lookup site perfbench/tracer.py wraps; nothing here calls it
     czcp_width,
     golay_factorization,
     is_gcp,
@@ -86,18 +91,20 @@ def _add_block_product(blocks, y, z):
     blocks[:-1, 1:] += np.multiply.outer(y[m:], z[: n - 1])
 
 
-def composite_profiles(first_pair, second_pair):
+def composite_profiles(first_correlations, second_pair):
     """(aacs, accs) of turyn_compose(first_pair, second_pair) at shifts 0..MN-1.
 
-    Evaluates Turyn's identity (see the module docstring) from correlations
-    of the inputs; every step is exact int64 arithmetic and the divisions
-    by 2 and 4 leave no remainder. Both vectors are fresh and contiguous.
+    first_correlations is the first pair's (a.a, b.b, a.b) in _correlate's
+    full layout, as _require_gcp returns it; only the length-M second pair
+    is correlated here. Evaluates Turyn's identity (see the module
+    docstring); every step is exact int64 arithmetic and the divisions by
+    2 and 4 leave no remainder. Both vectors are fresh and contiguous, and
+    the inputs are not modified.
     """
-    a, b = first_pair.first, first_pair.second
+    aa, bb, ab = first_correlations
     c, d = second_pair.first, second_pair.second
-    n, m = a.n, c.n
+    n, m = (aa.size + 1) // 2, c.n
     corr = correlation._correlate
-    aa, bb, ab = corr(a, a), corr(b, b), corr(a, b)
     cc, dd, cd = corr(c, c), corr(d, d), corr(c, d)
     ba, dc = ab[::-1], cd[::-1]
     pq = (ab - ba + bb - aa) // 4  # rho(P, Q; u)
@@ -148,18 +155,32 @@ class ConstructionReport:
 
 
 def _require_gcp(pair, what="first pair"):
-    """The pair's verdict; raises unless the pair is a GCP."""
-    verdict = classify(pair)
+    """(the pair's a.a, b.b, a.b correlations, its verdict); raises unless it is a GCP.
+
+    The verdict equals classify(pair) and comes from the same triple that
+    composite_profiles reads, so a construction correlates its GCP once.
+    """
+    a, b = pair.first, pair.second
+    corr = correlation._correlate
+    aa, bb, ab = corr(a, a), corr(b, b), corr(a, b)
+    verdict = _verdict(correlation._aacs_tail(aa, bb), correlation._accs_tail(ab))
     if not verdict.is_gcp:
         raise ConstructionError("not_gcp", f"{what} is not a GCP")
-    return verdict
+    return (aa, bb, ab), verdict
 
 
 def _compose_report(
-    first, second, guaranteed, basis="lemma8", condition_eq4=None, normalized=False, warnings=()
+    first,
+    first_correlations,
+    second,
+    guaranteed,
+    basis="lemma8",
+    condition_eq4=None,
+    normalized=False,
+    warnings=(),
 ):
     out = turyn_compose(first, second)
-    verdict = _verdict(*composite_profiles(first, second))
+    verdict = _verdict(*composite_profiles(first_correlations, second))
     return ConstructionReport(
         pair=out,
         guaranteed_width=guaranteed,
@@ -200,7 +221,8 @@ def construct_theorem1(gcp_pair, seed, auto_normalize=False):
     The guarantee is (M/2-1)*N + Z_A when the sign condition holds for the
     (possibly normalized) GCP, and the weaker (M/2-1)*N otherwise.
     """
-    z_a = _require_gcp(gcp_pair).czcp_width
+    triple, gcp_verdict = _require_gcp(gcp_pair)
+    z_a = gcp_verdict.czcp_width
     _require_theorem1_seed(seed)
     n = gcp_pair.n
     m = seed.n
@@ -214,6 +236,7 @@ def construct_theorem1(gcp_pair, seed, auto_normalize=False):
         flipped = SequencePair(gcp_pair.first, gcp_pair.second.negate())
         if condition_eq4_holds(flipped, seed):
             chosen = flipped
+            triple = (triple[0], triple[1], -triple[2])  # a.b changes sign with b
             normalized = True
     eq4 = condition_eq4_holds(chosen, seed)
     if eq4:
@@ -226,20 +249,20 @@ def construct_theorem1(gcp_pair, seed, auto_normalize=False):
             "sign condition fails; only the compositional width (M/2-1)*N is guaranteed"
         )
 
-    return _compose_report(chosen, seed, guaranteed, basis, eq4, normalized, warnings)
+    return _compose_report(chosen, triple, seed, guaranteed, basis, eq4, normalized, warnings)
 
 
 def construct_lemma8(gcp_pair, czcp_pair):
     """Compose a GCP with any CZCP; the width guarantee is N * Z_B."""
-    _require_gcp(gcp_pair)
+    triple = _require_gcp(gcp_pair)[0]
     z_b = czcp_width(czcp_pair)
     if z_b < 1:
         raise ConstructionError("seed_not_czcp", "second pair is not a CZCP")
-    return _compose_report(gcp_pair, czcp_pair, gcp_pair.n * z_b)
+    return _compose_report(gcp_pair, triple, czcp_pair, gcp_pair.n * z_b)
 
 
 def construct_gcp(first_gcp, second_gcp):
     """Compose two GCPs into a GCP of the product length."""
-    _require_gcp(first_gcp, "first pair")
-    z_b = _require_gcp(second_gcp, "second pair").czcp_width
-    return _compose_report(first_gcp, second_gcp, first_gcp.n * z_b)
+    triple = _require_gcp(first_gcp, "first pair")[0]
+    z_b = _require_gcp(second_gcp, "second pair")[1].czcp_width
+    return _compose_report(first_gcp, triple, second_gcp, first_gcp.n * z_b)

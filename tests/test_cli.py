@@ -140,8 +140,8 @@ def test_construct_from_files(tmp_path, capsys):
 def test_profiles_computed_once_per_pair(tmp_path, capsys, monkeypatch):
     # one classify per pair is three correlations (a.a, b.b, a.b); the CLI
     # prints and emits the profiles the verdicts carry. construct classifies
-    # its two inputs and derives the output's profiles from three more
-    # length-N and five length-M correlations, never one of length MN
+    # the seed, takes the GCP's three correlations once for its GCP check and
+    # Turyn's identity, and adds five length-M ones, never one of length MN
     import czcp.correlation as correlation
 
     calls = []
@@ -156,7 +156,7 @@ def test_profiles_computed_once_per_pair(tmp_path, capsys, monkeypatch):
     for flags in (["--json"], []):
         calls.clear()
         assert run_cli(capsys, "construct", "--gcp", gcp, "--seed", "K6", *flags)[0] == 0
-        assert sorted(calls) == [6] * 8 + [10] * 6
+        assert sorted(calls) == [6] * 8 + [10] * 3
         calls.clear()
         assert run_cli(capsys, "verify", *flags, "--", "+----+", "+-+++-")[0] == 0
         assert calls == [6] * 3
@@ -468,3 +468,32 @@ def test_fuzz_construct(gcp, seed, mode, normalize, json_flag, extra, files):
             argv += [flag, value]
     argv += ["--auto-normalize"] * normalize + ["--json"] * json_flag
     _run_fuzzed(argv, files, "")
+
+
+# argparse takes any unambiguous prefix, so "--a" would be --allow-large and "--j" --jobs
+_SEARCH_TOKEN = _TOKEN.filter(lambda t: not t.startswith(("--a", "--j")))
+_SEARCH_INT = st.integers(-4, 44).map(str) | _SEARCH_TOKEN
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    length=st.none() | _SEARCH_INT,
+    mid_abs=st.none() | st.integers(-2, 30).map(str) | _SEARCH_TOKEN,
+    shard=st.none() | _SEARCH_INT,
+    shards=st.none() | _SEARCH_INT,
+    json_flag=st.booleans(),
+    extra=st.lists(_SEARCH_TOKEN, max_size=2),
+)
+def test_fuzz_search(length, mid_abs, shard, shards, json_flag, extra):
+    # no --allow-large and no --jobs: every accepted search is M <= 22 in this process
+    argv = ["search", *extra]
+    for flag, value in (
+        ("--length", length),
+        ("--mid-abs", mid_abs),
+        ("--shard", shard),
+        ("--shards", shards),
+    ):
+        if value is not None:
+            argv += [flag, value]
+    argv += ["--json"] * json_flag
+    _run_fuzzed(argv, [], "")

@@ -7,13 +7,14 @@ from czcp import catalog, correlation
 from czcp.correlation import (
     KRONECKER_MIN_N,
     _kronecker_correlate,
+    _slot_width,
     aacf,
     aacs_profile,
     accf,
     accs_profile,
 )
 from czcp.sequences import BinarySequence, SequencePair, parse_sequence
-from czcp.turyn import composite_profiles, turyn_compose
+from czcp.turyn import _require_gcp, composite_profiles, turyn_compose
 
 from conftest import (
     check_scan_block,
@@ -191,11 +192,12 @@ def _pattern(kind, n, rng):
 @pytest.mark.parametrize(
     "n",
     [1, 2, 7, 351, 352, 353, KRONECKER_MIN_N - 1, KRONECKER_MIN_N, KRONECKER_MIN_N + 1]
-    + [999, 1000, 9999, 10000],
+    + [999, 1000, 1040, 1216, 1217, 9999, 10000],
 )
 @pytest.mark.parametrize("kind", ["random", "plus", "minus", "alternating"])
 def test_kronecker_kernel_matches_correlate_and_reference(rng, n, kind):
-    # 999/1000 and 9999/10000 straddle a change of the decimal slot width;
+    # 999/1000 and 9999/10000 straddle a change of the decimal slot width,
+    # 1040 and 1216 are widened to 5 digits, 1217 only when its top slots are zero;
     # below KRONECKER_MIN_N the profiles check the np.correlate route instead
     a = _pattern(kind, n, rng)
     b = random_sequence(rng, n)
@@ -206,6 +208,7 @@ def test_kronecker_kernel_matches_correlate_and_reference(rng, n, kind):
     else:
         shifts = sorted({0, 1, 2, n // 2, n - 2, n - 1} | set(rng.sample(range(n), 16)))
     for x, y in ((a, a), (a, b), (b, a)):
+        assert _slot_width(x.values < 0, y.values < 0) >= len(str(n))
         got = _kronecker_correlate(x.values, y.values)
         want = np.correlate(y.values.astype(np.int64), x.values.astype(np.int64), "full")
         assert got.dtype == np.int64
@@ -225,7 +228,7 @@ def test_kronecker_kernel_at_every_shift_above_1e5():
     first, second = catalog.golay_pair(4160), catalog.seed("K28").pair
     pair = turyn_compose(first, second)
     assert pair.n == 116480 > 10**5
-    aacs, accs = composite_profiles(first, second)
+    aacs, accs = composite_profiles(_require_gcp(first)[0], second)
     assert np.array_equal(aacs_profile(pair), aacs)
     assert np.array_equal(accs_profile(pair), accs)
 
@@ -245,18 +248,52 @@ def test_kronecker_kernel_at_slot_width_boundary(n):
     )
 
 
+def test_slot_width_is_widened_only_out_of_the_base_case():
+    # operands with a nonzero top slot: one digit more exactly where N*d - (d-1)
+    # digits stay in libmpdec's base case and one more digit per slot leaves it
+    def full(n):
+        return _slot_width(np.ones(n, bool), np.ones(n, bool))
+
+    widened = [n for n in range(1, 20001) if full(n) != len(str(n))]
+    assert widened == list(range(1000, 1217))
+    # leading zero slots shrink the operand: 1217 with x[0] = +1 is widened,
+    # and 1040 with 300 of them stays in the base case either way
+    tail = np.ones(1217, bool)
+    tail[0] = False
+    assert _slot_width(tail, np.ones(1217, bool)) == 5
+    late = np.ones(1040, bool)
+    late[:300] = False
+    assert _slot_width(np.ones(1040, bool), late[::-1]) == 4
+
+
+def _slot_integer(bits, d):
+    # sum of bits[i] * 10^(d*(size-1-i)); int(str) would hit the interpreter's digit limit
+    value = 0
+    for bit in bits:
+        value = value * 10**d + int(bit)
+    return value
+
+
+def _decimal_digits(value):
+    # len(str(value)) for value > 0, by comparison with powers of ten
+    k = value.bit_length() * 3 // 10  # at most the digit count
+    while 10**k <= value:
+        k += 1
+    return k
+
+
 @pytest.mark.parametrize("kind", ["minus", "alternating"])
 def test_kronecker_kernel_refuses_to_round(monkeypatch, rng, kind):
-    # minus ends the product in a nonzero digit (Inexact); alternating in zeros (Rounded only)
-    n = KRONECKER_MIN_N
-    xv = _pattern(kind, n, rng).values
-    d = len(str(n))
-    rev_a = int("".join(f"{int(v < 0):0{d}d}" for v in xv))
-    big_b = int("".join(f"{int(v < 0):0{d}d}" for v in xv[::-1]))
-    digits = len(str(rev_a * big_b))
-    want = np.correlate(xv.astype(np.int64), xv.astype(np.int64), "full")
-    monkeypatch.setattr(correlation._EXACT, "prec", digits)
-    assert np.array_equal(_kronecker_correlate(xv, xv), want)
-    monkeypatch.setattr(correlation._EXACT, "prec", digits - 1)
-    with pytest.raises((decimal.Rounded, decimal.Inexact)):
-        _kronecker_correlate(xv, xv)
+    # minus ends the product in a nonzero digit (Inexact); alternating in zeros (Rounded only);
+    # 1040 runs at the widened slot width
+    for n, width in ((KRONECKER_MIN_N, 3), (1040, 5)):
+        xv = _pattern(kind, n, rng).values
+        d = _slot_width(xv < 0, xv < 0)
+        assert d == width
+        digits = _decimal_digits(_slot_integer(xv < 0, d) * _slot_integer(xv[::-1] < 0, d))
+        want = np.correlate(xv.astype(np.int64), xv.astype(np.int64), "full")
+        monkeypatch.setattr(correlation._EXACT, "prec", digits)
+        assert np.array_equal(_kronecker_correlate(xv, xv), want)
+        monkeypatch.setattr(correlation._EXACT, "prec", digits - 1)
+        with pytest.raises((decimal.Rounded, decimal.Inexact)):
+            _kronecker_correlate(xv, xv)

@@ -7,9 +7,13 @@ until a traced benchmark run fails.
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def test_tracer_targets_resolve():
@@ -20,3 +24,23 @@ def test_tracer_targets_resolve():
     for module_name, name, _, _ in tracer.TARGETS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, name, None)), (module_name, name)
+
+
+def test_traced_construct_run_is_correct():
+    # one second of construct-k28 under the tracer: `correct` checks every
+    # output against the digests in perfbench/expected.json
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "construct-k28"]
+        + ["--seed", "7", "--seconds", "1", "--trace", "1"],
+        capture_output=True,
+        text=True,
+        cwd=PERFBENCH.parent,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    # per construction: the seed is classified, the GCP's correlations are shared
+    metrics = result["metrics"]
+    assert metrics["verify.classify_calls"]["value"] == 1
+    assert metrics["correlation.calls"]["value"] == 2

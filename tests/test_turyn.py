@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from czcp import catalog, reproduce, turyn
+from czcp import catalog, correlation, reproduce, turyn
 from czcp.correlation import aacs_profile, accs_profile
 from czcp.sequences import BinarySequence, SequencePair
 from czcp.turyn import (
     ConstructionError,
+    _require_gcp,
     composite_profiles,
     condition_eq4_holds,
     construct_gcp,
@@ -225,33 +226,95 @@ def test_reports_never_overpromise(rng):
 # --- composite profiles from Turyn's identity ----------------------------------
 
 
-def assert_direct_profiles(first, second):
-    """composite_profiles against classify of the composed pair, at every shift."""
+def full_correlations(pair):
+    """(a.a, b.b, a.b) of pair (a, b) in _correlate's full layout."""
+    a, b = pair.first, pair.second
+    return tuple(correlation._correlate(x, y) for x, y in ((a, a), (b, b), (a, b)))
+
+
+def assert_profiles_match(profiles, first, second):
+    """(aacs, accs) against classify of the composed pair, at every shift."""
     direct = classify(turyn_compose(first, second))
-    aacs, accs = composite_profiles(first, second)
+    aacs, accs = profiles
     assert np.array_equal(aacs, direct.aacs), (first.n, second.n)
     assert np.array_equal(accs, direct.accs), (first.n, second.n)
 
 
+def assert_direct_profiles(first, second):
+    assert_profiles_match(composite_profiles(full_correlations(first), second), first, second)
+
+
 def test_composite_profiles_for_every_reproduced_construction(monkeypatch):
-    # every (first, second) pair the reproduce targets compose, normalized or not
-    seen = []
-    real = turyn.composite_profiles
+    # every (first, second) pair the reproduce targets compose, normalized or
+    # not, with the correlations and profiles the construction itself used
+    composed, seen = [], []
+    real_compose, real_profiles = turyn.turyn_compose, turyn.composite_profiles
 
-    def recorded(first, second):
-        seen.append((first, second))
-        return real(first, second)
+    def compose(first, second):
+        composed.append((first, second))
+        return real_compose(first, second)
 
+    def recorded(first_correlations, second):
+        profiles = real_profiles(first_correlations, second)
+        seen.append((first_correlations, second, profiles))
+        return profiles
+
+    monkeypatch.setattr(turyn, "turyn_compose", compose)
     monkeypatch.setattr(turyn, "composite_profiles", recorded)
     for target in reproduce.TARGETS:
         assert reproduce.reproduce(target).ok, target
-    sizes = {(first.n, second.n) for first, second in seen}
+    assert len(seen) == len(composed)
+    sizes = {(first.n, second.n) for first, second in composed}
     assert {(2, m) for m in (6, 12, 24, 28)} <= sizes  # table2
     assert (10, 6) in sizes  # example1
     assert {(n, m) for n in (2, 4, 10, 26) for m in (6, 12, 24, 28)} <= sizes  # table3
     assert {(n, m) for n in (2, 4) for m in (48, 56)} <= sizes  # lemma8 rows
-    for first, second in seen:
-        assert_direct_profiles(first, second)
+    for (first, second), (triple, seen_second, profiles) in zip(composed, seen):
+        assert seen_second is second
+        for got, want in zip(triple, full_correlations(first)):
+            assert np.array_equal(got, want), first.n
+        assert_profiles_match(profiles, first, second)
+
+
+@pytest.mark.parametrize("n", [2, 10, 26, 559, 560, 1040])
+def test_require_gcp_verdict_matches_classify(rng, n):
+    # the verdict a construction derives from its shared a.a, b.b, a.b triple
+    # is classify's, on both sides of the decimal kernel's crossover
+    pairs = [random_pair(rng, n), random_pair(rng, n)]
+    if n in (2, 10, 26, 1040):
+        gcp = catalog.golay_pair(n)
+        broken = gcp.first.values.copy()
+        broken[rng.randrange(n)] *= -1  # one flipped element is never a GCP
+        pairs += [gcp, SequencePair(gcp.first, gcp.second.negate())]
+        pairs.append(SequencePair(BinarySequence(broken), gcp.second))
+    for pair in pairs:
+        direct = classify(pair)
+        if not direct.is_gcp:
+            with pytest.raises(ConstructionError) as exc:
+                _require_gcp(pair)
+            assert exc.value.code == "not_gcp"
+            continue
+        triple, verdict = _require_gcp(pair)
+        assert verdict == direct
+        assert np.array_equal(verdict.aacs, direct.aacs)
+        assert np.array_equal(verdict.accs, direct.accs)
+        for got, want in zip(triple, full_correlations(pair)):
+            assert np.array_equal(got, want)
+
+
+def test_auto_normalize_at_kernel_length():
+    # N = 640 takes the decimal kernel; normalizing negates the shared a.b
+    gcp = catalog.golay_pair(640)
+    flipped = SequencePair(gcp.first, gcp.second.negate())
+    seed = catalog.seed("K28").pair
+    assert not condition_eq4_holds(flipped, seed)
+    rep = construct_theorem1(flipped, seed, auto_normalize=True)
+    assert rep.normalized is True and rep.basis == "theorem1"
+    assert rep.pair == turyn_compose(gcp, seed)
+    direct = classify(rep.pair)
+    assert rep.verdict == direct
+    assert np.array_equal(rep.verdict.aacs, direct.aacs)
+    assert np.array_equal(rep.verdict.accs, direct.accs)
 
 
 _PAIRS = st.integers(1, 40).flatmap(
