@@ -28,14 +28,14 @@ Then
 
 with 4*rho(P, Q; u) = rho(a,b;u) - rho(b,a;u) + rho(b,b;u) - rho(a,a;u).
 composite_profiles evaluates the right sides from the first pair's three
-length-N correlations (a.a, b.b, a.b) and five length-M correlations plus
-O(MN) integer block adds, so the constructions derive their output's
-verdict without correlating the length-MN pair. Each construction takes
-the a.a, b.b, a.b triple once, in _require_gcp, derives the GCP check from
-it and hands the same triple to composite_profiles: three length-N
-correlations per construction, not six. Negating b (auto-normalization)
-negates a.b and leaves a.a and b.b alone. `czcp verify` (classify)
-measures a pair's profiles directly.
+length-N correlations (a.a, b.b, a.b), the second pair's verdict, whose
+profiles are the symmetric AACS_cd and ACCS_cd at w^0..w^(M-1), and two
+length-M correlations (c.rev(c), d.rev(d)), plus O(MN) integer block adds;
+no construction correlates its length-MN output. Each input is profiled
+once, by the precondition check a construction makes anyway (_require_gcp
+for a GCP, classify for a seed), and the check hands its result on.
+Negating b (auto-normalization) negates a.b and leaves a.a and b.b alone.
+`czcp verify` (classify) measures a pair's profiles directly.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ from .verify import (
     PairVerdict,
     _middle_terms,
     _verdict,
-    classify,  # noqa: F401  a lookup site perfbench/tracer.py wraps; nothing here calls it
-    czcp_width,
+    classify,
+    czcp_width,  # noqa: F401  a lookup site perfbench/tracer.py wraps; nothing here calls it
     golay_factorization,
     is_gcp,
     lemma9_condition_holds,
@@ -82,40 +82,41 @@ def turyn_compose(first_pair, second_pair):
 def _add_block_product(blocks, y, z):
     """Add the coefficients of Y(z^N)*Z(z) at z^0..z^(MN-1) into blocks, an (M, N) array.
 
-    y holds Y's coefficients at w^(1-M)..w^(M-1) and z holds Z's at
-    z^(1-N)..z^(N-1), both in _correlate's full layout. Shift qN + r with
-    0 <= r < N collects Y_q*Z_r and, for r >= 1, Y_(q+1)*Z_(r-N).
+    y holds Y's coefficients at w^0..w^(M-1), the only ones these shifts
+    reach, and z holds Z's at z^(1-N)..z^(N-1) in _correlate's full layout.
+    Shift qN + r with 0 <= r < N collects Y_q*Z_r and, for r >= 1,
+    Y_(q+1)*Z_(r-N).
     """
-    m, n = blocks.shape
-    blocks += np.multiply.outer(y[m - 1 :], z[n - 1 :])
-    blocks[:-1, 1:] += np.multiply.outer(y[m:], z[: n - 1])
+    n = blocks.shape[1]
+    blocks += np.multiply.outer(y, z[n - 1 :])
+    blocks[:-1, 1:] += np.multiply.outer(y[1:], z[: n - 1])
 
 
-def composite_profiles(first_correlations, second_pair):
+def composite_profiles(first_correlations, second_pair, second_verdict):
     """(aacs, accs) of turyn_compose(first_pair, second_pair) at shifts 0..MN-1.
 
     first_correlations is the first pair's (a.a, b.b, a.b) in _correlate's
-    full layout, as _require_gcp returns it; only the length-M second pair
-    is correlated here. Evaluates Turyn's identity (see the module
-    docstring); every step is exact int64 arithmetic and the divisions by
-    2 and 4 leave no remainder. Both vectors are fresh and contiguous, and
-    the inputs are not modified.
+    full layout, as _require_gcp returns it, and second_verdict is the
+    second pair's PairVerdict, whose profiles are AACS_cd and ACCS_cd at
+    w^0..w^(M-1). Only c.rev(c) and d.rev(d) are correlated here. Evaluates
+    Turyn's identity (see the module docstring); every step is exact int64
+    arithmetic and the divisions by 2 and 4 leave no remainder. Both
+    vectors are fresh and contiguous, and the inputs are not modified.
     """
     aa, bb, ab = first_correlations
     c, d = second_pair.first, second_pair.second
     n, m = (aa.size + 1) // 2, c.n
     corr = correlation._correlate
-    cc, dd, cd = corr(c, c), corr(d, d), corr(c, d)
-    ba, dc = ab[::-1], cd[::-1]
+    ba = ab[::-1]
     pq = (ab - ba + bb - aa) // 4  # rho(P, Q; u)
     squares = corr(c, c.reverse()) - corr(d, d.reverse())  # w^(M-1)*(C*^2 - D*^2)(w)
     aacs = np.zeros(m * n, dtype=np.int64)
     accs = np.zeros(m * n, dtype=np.int64)
-    _add_block_product(aacs.reshape(m, n), cc + dd, (aa + bb) // 2)
+    _add_block_product(aacs.reshape(m, n), second_verdict.aacs, (aa + bb) // 2)
     blocks = accs.reshape(m, n)
-    _add_block_product(blocks, cd + dc, (ab + ba) // 2)
-    _add_block_product(blocks, squares, pq)  # X(z)
-    _add_block_product(blocks, squares[::-1], pq[::-1])  # X(1/z)
+    _add_block_product(blocks, second_verdict.accs, (ab + ba) // 2)
+    _add_block_product(blocks, squares[m - 1 :], pq)  # X(z)
+    _add_block_product(blocks, squares[m - 1 :: -1], pq[::-1])  # X(1/z)
     return aacs, accs
 
 
@@ -157,8 +158,8 @@ class ConstructionReport:
 def _require_gcp(pair, what="first pair"):
     """(the pair's a.a, b.b, a.b correlations, its verdict); raises unless it is a GCP.
 
-    The verdict equals classify(pair) and comes from the same triple that
-    composite_profiles reads, so a construction correlates its GCP once.
+    The verdict equals classify(pair) and comes from the triple; a construction
+    hands one or the other to composite_profiles, so it correlates each GCP once.
     """
     a, b = pair.first, pair.second
     corr = correlation._correlate
@@ -173,6 +174,7 @@ def _compose_report(
     first,
     first_correlations,
     second,
+    second_verdict,
     guaranteed,
     basis="lemma8",
     condition_eq4=None,
@@ -180,7 +182,7 @@ def _compose_report(
     warnings=(),
 ):
     out = turyn_compose(first, second)
-    verdict = _verdict(*composite_profiles(first_correlations, second))
+    verdict = _verdict(*composite_profiles(first_correlations, second, second_verdict))
     return ConstructionReport(
         pair=out,
         guaranteed_width=guaranteed,
@@ -194,6 +196,7 @@ def _compose_report(
 
 
 def _require_theorem1_seed(seed):
+    """The seed's verdict; raises unless the seed meets Theorem 1's preconditions."""
     m = seed.n
     if m % 2:
         raise ConstructionError("seed_odd_length", "seed length must be even")
@@ -202,7 +205,8 @@ def _require_theorem1_seed(seed):
             "seed_golay_length",
             f"seed length {m} is a Golay number; the width argument needs a non-Golay length",
         )
-    z = czcp_width(seed)
+    verdict = classify(seed)
+    z = verdict.czcp_width
     if z != m // 2 - 1:
         raise ConstructionError(
             "seed_not_optimal",
@@ -213,6 +217,7 @@ def _require_theorem1_seed(seed):
             "seed_eq3",
             "seed violates the middle-column product condition",
         )
+    return verdict
 
 
 def construct_theorem1(gcp_pair, seed, auto_normalize=False):
@@ -223,7 +228,7 @@ def construct_theorem1(gcp_pair, seed, auto_normalize=False):
     """
     triple, gcp_verdict = _require_gcp(gcp_pair)
     z_a = gcp_verdict.czcp_width
-    _require_theorem1_seed(seed)
+    seed_verdict = _require_theorem1_seed(seed)
     n = gcp_pair.n
     m = seed.n
     if z_a < 1:
@@ -249,20 +254,22 @@ def construct_theorem1(gcp_pair, seed, auto_normalize=False):
             "sign condition fails; only the compositional width (M/2-1)*N is guaranteed"
         )
 
-    return _compose_report(chosen, triple, seed, guaranteed, basis, eq4, normalized, warnings)
+    return _compose_report(
+        chosen, triple, seed, seed_verdict, guaranteed, basis, eq4, normalized, warnings
+    )
 
 
 def construct_lemma8(gcp_pair, czcp_pair):
     """Compose a GCP with any CZCP; the width guarantee is N * Z_B."""
     triple = _require_gcp(gcp_pair)[0]
-    z_b = czcp_width(czcp_pair)
-    if z_b < 1:
+    v = classify(czcp_pair)
+    if v.czcp_width < 1:
         raise ConstructionError("seed_not_czcp", "second pair is not a CZCP")
-    return _compose_report(gcp_pair, triple, czcp_pair, gcp_pair.n * z_b)
+    return _compose_report(gcp_pair, triple, czcp_pair, v, gcp_pair.n * v.czcp_width)
 
 
 def construct_gcp(first_gcp, second_gcp):
     """Compose two GCPs into a GCP of the product length."""
     triple = _require_gcp(first_gcp, "first pair")[0]
-    z_b = _require_gcp(second_gcp, "second pair")[1].czcp_width
-    return _compose_report(first_gcp, triple, second_gcp, first_gcp.n * z_b)
+    v = _require_gcp(second_gcp, "second pair")[1]
+    return _compose_report(first_gcp, triple, second_gcp, v, first_gcp.n * v.czcp_width)

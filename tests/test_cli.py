@@ -139,9 +139,10 @@ def test_construct_from_files(tmp_path, capsys):
 
 def test_profiles_computed_once_per_pair(tmp_path, capsys, monkeypatch):
     # one classify per pair is three correlations (a.a, b.b, a.b); the CLI
-    # prints and emits the profiles the verdicts carry. construct classifies
-    # the seed, takes the GCP's three correlations once for its GCP check and
-    # Turyn's identity, and adds five length-M ones, never one of length MN
+    # prints and emits the profiles the verdicts carry. construct takes the
+    # GCP's three correlations once for its GCP check and Turyn's identity,
+    # classifies the second pair once for its own check and the identity,
+    # and adds c.rev(c) and d.rev(d), never a correlation of length MN
     import czcp.correlation as correlation
 
     calls = []
@@ -153,13 +154,24 @@ def test_profiles_computed_once_per_pair(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(correlation, "_correlate", counted)
     gcp = write_pair(tmp_path, catalog.golay_pair(10), "g.txt")
+    constructs = [
+        (["--seed", "K6"], [6] * 5 + [10] * 3),
+        (["--seed", "K48", "--mode", "lemma8"], [10] * 3 + [48] * 5),
+        (["--seed", "GCP26", "--mode", "gcp"], [10] * 3 + [26] * 5),
+    ]
     for flags in (["--json"], []):
-        calls.clear()
-        assert run_cli(capsys, "construct", "--gcp", gcp, "--seed", "K6", *flags)[0] == 0
-        assert sorted(calls) == [6] * 8 + [10] * 3
+        for args, want in constructs:
+            calls.clear()
+            assert run_cli(capsys, "construct", "--gcp", gcp, *args, *flags)[0] == 0
+            assert sorted(calls) == want, args
         calls.clear()
         assert run_cli(capsys, "verify", *flags, "--", "+----+", "+-+++-")[0] == 0
         assert calls == [6] * 3
+        # table2's four rows are rebuilt exactly, so the construction's
+        # verdicts are checked and no row is classified again
+        calls.clear()
+        assert run_cli(capsys, "reproduce", "table2", *flags)[0] == 0
+        assert sorted(calls) == [2] * 12 + [6] * 5 + [12] * 5 + [24] * 5 + [28] * 5
 
 
 def test_search_finds_seed_class(capsys):

@@ -15,6 +15,7 @@ from czcp.correlation import (
 )
 from czcp.sequences import BinarySequence, SequencePair, parse_sequence
 from czcp.turyn import _require_gcp, composite_profiles, turyn_compose
+from czcp.verify import classify
 
 from conftest import (
     check_scan_block,
@@ -228,7 +229,7 @@ def test_kronecker_kernel_at_every_shift_above_1e5():
     first, second = catalog.golay_pair(4160), catalog.seed("K28").pair
     pair = turyn_compose(first, second)
     assert pair.n == 116480 > 10**5
-    aacs, accs = composite_profiles(_require_gcp(first)[0], second)
+    aacs, accs = composite_profiles(_require_gcp(first)[0], second, classify(second))
     assert np.array_equal(aacs_profile(pair), aacs)
     assert np.array_equal(accs_profile(pair), accs)
 

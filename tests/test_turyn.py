@@ -241,12 +241,14 @@ def assert_profiles_match(profiles, first, second):
 
 
 def assert_direct_profiles(first, second):
-    assert_profiles_match(composite_profiles(full_correlations(first), second), first, second)
+    profiles = composite_profiles(full_correlations(first), second, classify(second))
+    assert_profiles_match(profiles, first, second)
 
 
 def test_composite_profiles_for_every_reproduced_construction(monkeypatch):
     # every (first, second) pair the reproduce targets compose, normalized or
-    # not, with the correlations and profiles the construction itself used
+    # not, with the correlations, second-pair verdict and profiles the
+    # construction itself used
     composed, seen = [], []
     real_compose, real_profiles = turyn.turyn_compose, turyn.composite_profiles
 
@@ -254,9 +256,9 @@ def test_composite_profiles_for_every_reproduced_construction(monkeypatch):
         composed.append((first, second))
         return real_compose(first, second)
 
-    def recorded(first_correlations, second):
-        profiles = real_profiles(first_correlations, second)
-        seen.append((first_correlations, second, profiles))
+    def recorded(first_correlations, second, second_verdict):
+        profiles = real_profiles(first_correlations, second, second_verdict)
+        seen.append((first_correlations, second, second_verdict, profiles))
         return profiles
 
     monkeypatch.setattr(turyn, "turyn_compose", compose)
@@ -269,11 +271,48 @@ def test_composite_profiles_for_every_reproduced_construction(monkeypatch):
     assert (10, 6) in sizes  # example1
     assert {(n, m) for n in (2, 4, 10, 26) for m in (6, 12, 24, 28)} <= sizes  # table3
     assert {(n, m) for n in (2, 4) for m in (48, 56)} <= sizes  # lemma8 rows
-    for (first, second), (triple, seen_second, profiles) in zip(composed, seen):
+    for (first, second), (triple, seen_second, verdict, profiles) in zip(composed, seen):
         assert seen_second is second
         for got, want in zip(triple, full_correlations(first)):
             assert np.array_equal(got, want), first.n
+        direct = classify(second)
+        assert verdict == direct
+        assert np.array_equal(verdict.aacs, direct.aacs)
+        assert np.array_equal(verdict.accs, direct.accs)
         assert_profiles_match(profiles, first, second)
+
+
+@pytest.mark.parametrize(
+    "build, first, second, normalized",
+    [
+        (construct_theorem1, catalog.golay_pair(10), catalog.seed("K12").pair, False),
+        (
+            lambda g, s: construct_theorem1(g, s, auto_normalize=True),
+            SequencePair(catalog.golay_pair(10).first, catalog.golay_pair(10).second.negate()),
+            catalog.seed("K12").pair,
+            True,
+        ),
+        (construct_lemma8, catalog.golay_pair(4), catalog.get("K48").pair, False),
+        (construct_gcp, catalog.golay_pair(10), catalog.golay_pair(26), False),
+    ],
+    ids=["theorem1", "theorem1-normalized", "lemma8", "gcp"],
+)
+def test_construction_correlates_each_input_once(monkeypatch, build, first, second, normalized):
+    # operands recorded by content: the GCP's a.a, b.b, a.b and the second
+    # pair's c.c, d.d, c.d, c.rev(c), d.rev(d), each taken exactly once. No
+    # member here is a palindrome, for which c.rev(c) would be c.c again
+    calls = []
+    real = correlation._correlate
+
+    def recorded(x, y):
+        calls.append((len(x), x.values.tobytes(), y.values.tobytes()))
+        return real(x, y)
+
+    monkeypatch.setattr(correlation, "_correlate", recorded)
+    rep = build(first, second)
+    assert rep.normalized is normalized
+    assert len(set(calls)) == len(calls)
+    assert sorted(n for n, _, _ in calls) == sorted([first.n] * 3 + [second.n] * 5)
 
 
 @pytest.mark.parametrize("n", [2, 10, 26, 559, 560, 1040])
