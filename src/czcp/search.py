@@ -22,9 +22,15 @@ operations instead of 2^(M+1) candidate tests.
 Candidates are encoded as integers (c's sign bits shifted left twice, plus
 two bits choosing the middle signs); shards are contiguous ranges of that
 integer, so any shard partition yields the same space deterministically.
-Each shard runs the whole join and keeps the encodings in its range; the
-block scanner _scan_block then re-checks them exactly and applies the
-mid_abs filter.
+The high bits of an encoding are the P- half's word, so each shard joins
+only the P- words whose encodings can land in its range and keeps the
+encodings that do; the block scanner _scan_block then re-checks them
+exactly and applies the mid_abs filter.
+
+Survivors are grouped into equivalence classes on their packed sign words
+(_canonical_words), with no sequence built per survivor; each class is
+verified once, on its canonical representative, because the CZCP width and
+|mid_aacs| are the same for all 16 equivalent pairs.
 
 A spec whose whole space exceeds 2^24 candidates (M >= 24) is refused at
 construction, before any work starts, unless it sets allow_large. Lengths
@@ -137,6 +143,34 @@ def _word_to_sequence(word, m):
     return BinarySequence([-1 if (word >> j) & 1 else 1 for j in range(m)])
 
 
+def _bit_reverse(word, m):
+    """The m-bit word read backwards: bit j moves to bit m-1-j."""
+    return int(format(word, f"0{m}b")[::-1], 2)
+
+
+def _canonical_words(x, y, m):
+    """The class key of the pair with sign words (x, y): canonicalize on words.
+
+    With bit j set for '-' at position j, a sequence's '+'/'-' text order is
+    the integer order of its key, the word read with position 0 as the most
+    significant bit (_bit_reverse). So the key of a reversed sequence is its
+    plain word, negation is XOR with the all-ones word, and a swap exchanges
+    the members. The smallest of the 16 (first, second) key tuples is the
+    key of canonicalize's pair; each member's sign is chosen on its own.
+    """
+    ones = (1 << m) - 1
+    kx, ky = _bit_reverse(x, m), _bit_reverse(y, m)
+    return min(
+        (min(p, p ^ ones), min(q, q ^ ones))
+        for p, q in ((kx, ky), (ky, kx), (x, y), (y, x))
+    )
+
+
+def _key_pair(key, m):
+    """The SequencePair whose members have the keys in `key`."""
+    return SequencePair(*(_word_to_sequence(_bit_reverse(k, m), m) for k in key))
+
+
 def _check_shifts(m):
     """AACS shifts that can reject a candidate; every shift above M/2 sums to zero."""
     return range(1, m // 2)
@@ -219,24 +253,30 @@ def _join_key(rows):
     return key
 
 
-def _join(m, middle):
-    """Encodings of class `middle` whose AACS vanishes at every shift in _check_shifts."""
+def _join(m, middle, lo, hi):
+    """Encodings in [lo, hi) of class `middle` with AACS zero at every shift in _check_shifts."""
     plus, minus = _halves(m, middle)
     left_words, right_words = _half_words(plus), _half_words(minus)
+    # the left words lie below bit M/2+1, so every encoding built from a right
+    # word R lies in [R << 1, (R << 1) + 2^(M/2+2)); drop the Rs outside [lo, hi)
+    start = right_words << np.uint64(1)
+    right_words = right_words[(start < hi) & (start + np.uint64(1 << (m // 2 + 2)) > lo)]
     left = _half_sums(left_words, plus, m)
     right = -_half_sums(right_words, minus, m)
-    # sort-join on the packed key, then compare the remaining shifts in full
-    left_key = _join_key(left)
-    order = np.argsort(left_key, kind="stable")
-    left_key, right_key = left_key[order], _join_key(right)
+    # sort-join on the packed key, then compare the remaining shifts in full;
+    # sorted needles keep searchsorted's lookups local
+    left_key, right_key = _join_key(left), _join_key(right)
+    lorder, rorder = np.argsort(left_key), np.argsort(right_key)
+    left_key, right_key = left_key[lorder], right_key[rorder]
     first = np.searchsorted(left_key, right_key, side="left")
     count = np.searchsorted(left_key, right_key, side="right") - first
-    ri = np.repeat(np.arange(right_words.size), count)
+    ri = np.repeat(rorder, count)
     rank = np.arange(ri.size) - np.repeat(np.cumsum(count) - count, count)
-    li = order[np.repeat(first, count) + rank]
+    li = lorder[np.repeat(first, count) + rank]
     hit = np.all(left[:, li] == right[:, ri], axis=0)
     x = left_words[li[hit]] | right_words[ri[hit]]
-    return (x << np.uint64(1)) | np.uint64(middle)  # bit 0 of x (c0) is clear
+    cands = (x << np.uint64(1)) | np.uint64(middle)  # bit 0 of x (c0) is clear
+    return cands[(cands >= lo) & (cands < hi)]
 
 
 def run_search(spec, progress=None):
@@ -255,26 +295,17 @@ def run_search(spec, progress=None):
     lo, hi = spec.shard_range
     found = []
     for middle in range(4):
-        cands = _join(spec.m, middle)
-        found.append(cands[(cands >= lo) & (cands < hi)])
+        found.append(_join(spec.m, middle, lo, hi))
         if progress is not None:
             progress((middle + 1) * (hi - lo) // 4, hi - lo)
     cands = np.sort(np.concatenate(found))
-    survivors = [int(v) for v in _scan_block(cands, spec.m, spec.mid_abs)]
+    survivors = _scan_block(cands, spec.m, spec.mid_abs)
+    keys = {_canonical_words(*_decode(int(v), spec.m), spec.m) for v in survivors}
 
+    reps = [_key_pair(key, spec.m) for key in sorted(keys)]  # key order is text order
+    # the width is the same for every pair of a class, so one check decides it
     target = spec.m // 2 - 1
-    canonical = {}
-    for index in survivors:
-        x, y = _decode(index, spec.m)
-        pair = SequencePair(
-            _word_to_sequence(x, spec.m), _word_to_sequence(y, spec.m)
-        )
-        if czcp_width(pair) != target:
-            continue
-        rep = canonicalize(pair)
-        canonical[rep.texts()] = rep
-
-    pairs = tuple(canonical[k] for k in sorted(canonical))
+    pairs = tuple(pair for pair in reps if czcp_width(pair) == target)
     return SearchResult(
         pairs=pairs,
         classes=len(pairs),

@@ -26,11 +26,11 @@ def test_tracer_targets_resolve():
         assert callable(getattr(module, name, None)), (module_name, name)
 
 
-def test_traced_construct_run_is_correct():
-    # one second of construct-k28 under the tracer: `correct` checks every
-    # output against the digests in perfbench/expected.json
+def _traced_run(workload):
+    # one second of the workload under the tracer; `correct` checks every
+    # output against perfbench/expected.json
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "construct-k28"]
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload]
         + ["--seed", "7", "--seconds", "1", "--trace", "1"],
         capture_output=True,
         text=True,
@@ -40,7 +40,19 @@ def test_traced_construct_run_is_correct():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
+    return result["metrics"]
+
+
+def test_traced_construct_run_is_correct():
     # per construction: the seed is classified, the GCP's correlations are shared
-    metrics = result["metrics"]
+    metrics = _traced_run("construct-k28")
     assert metrics["verify.classify_calls"]["value"] == 1
     assert metrics["correlation.calls"]["value"] == 2
+
+
+def test_traced_search_run_is_correct():
+    # per M = 24 search: the 16 survivors fall into 4 classes, and each class
+    # is verified once, on its representative
+    metrics = _traced_run("search-m24")
+    assert metrics["search.survivors"]["value"] == 16
+    assert metrics["verify.width_calls"]["value"] == 4

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from czcp import catalog
 from czcp.correlation import aacs_profile
 from czcp.search import (
     SearchSpec,
+    _canonical_words,
     _decode,
     _join,
+    _key_pair,
     _scan_block,
     _word_to_sequence,
     canonicalize,
@@ -15,7 +18,7 @@ from czcp.search import (
     run_search,
 )
 from czcp.sequences import SequencePair
-from czcp.verify import classify, lemma5_structure_holds
+from czcp.verify import classify, czcp_width, lemma5_structure_holds
 
 from conftest import brute_force_search, random_pair, ref_aacs
 
@@ -41,6 +44,40 @@ def test_equivalents_of_seed_share_canonical_form():
     forms = {canonicalize(q).texts() for q in equivalents(k6)}
     assert len(forms) == 1
     assert len(equivalents(k6)) == 16
+
+
+def _word_pair(x, y, m):
+    return SequencePair(_word_to_sequence(x, m), _word_to_sequence(y, m))
+
+
+def _key_texts(key, m):
+    # the key written in binary, position 0 first, is the member's text
+    return tuple(format(k, f"0{m}b").translate(str.maketrans("01", "+-")) for k in key)
+
+
+def test_canonical_words_match_canonicalize_exhaustively():
+    for m in (2, 4):
+        for x in range(1 << m):
+            for y in range(1 << m):
+                key = _canonical_words(x, y, m)
+                canon = canonicalize(_word_pair(x, y, m))
+                assert _key_pair(key, m) == canon, (m, x, y)
+                assert _key_texts(key, m) == canon.texts()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_canonical_words_match_canonicalize(data):
+    m = data.draw(st.integers(1, 20).map(lambda k: 2 * k), label="m")
+    words = st.integers(0, (1 << m) - 1)
+    x, y, x2, y2 = (data.draw(words) for _ in range(4))
+    key, key2 = _canonical_words(x, y, m), _canonical_words(x2, y2, m)
+    canon, canon2 = canonicalize(_word_pair(x, y, m)), canonicalize(_word_pair(x2, y2, m))
+    assert _key_pair(key, m) == canon
+    assert _key_texts(key, m) == canon.texts()
+    # run_search sorts classes by key; that must be the order of their texts
+    assert (key < key2) == (canon.texts() < canon2.texts())
+    assert (key == key2) == (canon == canon2)
 
 
 def _candidates(spec):
@@ -95,10 +132,15 @@ def _scan_space(m, mid_abs):
     return np.concatenate(blocks)
 
 
+def _whole_join(m):
+    space = SearchSpec(m=m, allow_large=True).space
+    return np.sort(np.concatenate([_join(m, middle, 0, space) for middle in range(4)]))
+
+
 def test_join_matches_block_scanner():
     # includes M = 18 and 22, where no candidate survives
     for m in range(2, 23, 2):
-        joined = np.sort(np.concatenate([_join(m, middle) for middle in range(4)]))
+        joined = _whole_join(m)
         assert joined.dtype == np.uint64
         assert np.array_equal(joined, _scan_space(m, None)), m
         for mid_abs in (0, 2):
@@ -115,8 +157,7 @@ def test_join_compares_shifts_past_the_key(monkeypatch):
     for key_shifts in (0, 1, 3):
         monkeypatch.setattr(search_mod, "_KEY_SHIFTS", key_shifts)
         for m, ref in want.items():
-            joined = np.sort(np.concatenate([_join(m, middle) for middle in range(4)]))
-            assert np.array_equal(joined, ref), (key_shifts, m)
+            assert np.array_equal(_whole_join(m), ref), (key_shifts, m)
 
 
 def test_shard_filter_keeps_join_encodings(monkeypatch):
@@ -142,6 +183,57 @@ def test_shard_filter_keeps_join_encodings(monkeypatch):
         assert sorted(v for cands in seen for v in cands) == whole
         assert merge_results(parts).pairs == single.pairs
         seen.clear()
+
+
+def test_shard_sliced_joins_partition_the_whole_join(monkeypatch):
+    # each shard joins only the P- words whose encodings can land in its
+    # range; the slices must still add up to the whole join
+    import czcp.search as search_mod
+
+    sizes = []  # words per _half_sums call: the P+ half, then the P- half
+    real = search_mod._half_sums
+
+    def recording(words, positions, m):
+        sizes.append(words.size)
+        return real(words, positions, m)
+
+    monkeypatch.setattr(search_mod, "_half_sums", recording)
+    for m in range(2, 21, 2):
+        for middle in range(4):
+            space = SearchSpec(m=m).space
+            whole = np.sort(_join(m, middle, 0, space))
+            whole_right = sizes[1]
+            for shards in (1, 2, 3, 4, 7):
+                parts = []
+                for i in range(shards):
+                    lo, hi = SearchSpec(m=m, shards=shards, shard_index=i).shard_range
+                    part = _join(m, middle, lo, hi)
+                    assert np.all((part >= lo) & (part < hi)), (m, middle, shards, i)
+                    parts.append(part)
+                assert np.array_equal(np.sort(np.concatenate(parts)), whole)
+                if m == 20:
+                    # a P- word's encodings span 2^(M/2+2), so only the few
+                    # words near a boundary reach two shards
+                    assert max(sizes[3::2]) <= whole_right // shards + 8, shards
+                del sizes[2:]
+            sizes.clear()
+
+
+def test_search_classes_are_checked_once():
+    # run_search verifies one representative per class; that is sound only
+    # because every equivalent of a survivor has its width and |mid_aacs|
+    for m in (6, 12, 24, 28):
+        survivors = _scan_block(_whole_join(m), m, None)
+        assert survivors.size
+        for index in survivors:
+            pair = _word_pair(*_decode(int(index), m), m)
+            want = classify(pair)
+            for q in equivalents(pair):
+                v = classify(q)
+                assert v.czcp_width == want.czcp_width, (m, int(index))
+                assert abs(v.mid_aacs) == abs(want.mid_aacs), (m, int(index))
+            key = _canonical_words(*_decode(int(index), m), m)
+            assert czcp_width(_key_pair(key, m)) == want.czcp_width
 
 
 def test_search_finds_seed6():
