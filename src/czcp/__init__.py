@@ -15,11 +15,13 @@ from .sequences import (
     kronecker,
     parse_pair,
     parse_sequence,
+    read_pair,
 )
 from .search import (
     LargeSearchError,
     SearchResult,
     SearchSpec,
+    SearchSpecError,
     canonicalize,
     equivalents,
     run_search,

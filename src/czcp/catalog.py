@@ -25,6 +25,12 @@ from .turyn import _oppose_leading_signs, turyn_compose
 from .verify import czcp_width, golay_factorization
 
 
+class UnknownIdError(KeyError):
+    """An id the catalog does not hold."""
+
+    code = "unknown_id"  # the CLI's report code
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     """An embedded pair with its claimed classification."""
@@ -163,16 +169,14 @@ def get(eid):
     """Look up any catalog entry by id or alias."""
     key = _ALIASES.get(eid, eid)
     if key not in _ALL:
-        raise KeyError(f"unknown catalog id {eid!r} (known: {', '.join(_ALL)})")
+        raise UnknownIdError(f"unknown catalog id {eid!r} (known: {', '.join(_ALL)})")
     return _ALL[key]
 
 
 def seed(eid):
     """Look up one of the four seed CZCPs (K6, K12, K24, K28)."""
     if eid not in _SEEDS:
-        raise KeyError(
-            f"unknown seed id {eid!r} (known: {', '.join(_SEEDS)})"
-        )
+        raise UnknownIdError(f"unknown seed id {eid!r} (known: {', '.join(_SEEDS)})")
     return _SEEDS[eid]
 
 

@@ -4,11 +4,19 @@ Exit codes: 0 success (for verify: the pair is a CZCP; for reproduce: all
 checks match), 1 negative result (not a CZCP / reproduction mismatch),
 2 input or precondition error. With --json every command emits a single
 report object conforming to report.schema.json; progress goes to stderr.
+
+Error codes: bad_args (a usage error under --json, any command); verify:
+bad_input; construct: bad_input, not_gcp, gcp_zone_zero, seed_odd_length,
+seed_golay_length, seed_not_optimal, seed_eq3 (theorem1), seed_not_czcp
+(lemma8); search: bad_search, large_search_gated; catalog: unknown_id.
+Library refusals carry their `code`, and main alone turns them into exit
+2; any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -16,14 +24,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import catalog, reproduce as repro
-from .search import LargeSearchError, SearchSpec, run_search_parallel
-from .sequences import SequenceFormatError, SequencePair, parse_pair
-from .turyn import (
-    ConstructionError,
-    construct_gcp,
-    construct_lemma8,
-    construct_theorem1,
-)
+from .search import SearchSpec, SearchSpecError, run_search_parallel
+from .sequences import SequenceFormatError, SequencePair, read_pair
+from .turyn import construct_gcp, construct_lemma8, construct_theorem1
 from .verify import classify
 
 
@@ -103,20 +106,12 @@ def _load_pair_arg(args):
     if len(args.inputs) == 2:
         return SequencePair.from_texts(args.inputs[0], args.inputs[1])
     if len(args.inputs) != 1:
-        raise SequenceFormatError(
-            "give a pair file ('-' for stdin) or two inline sequences"
-        )
-    source = args.inputs[0]
-    if source == "-":
-        return parse_pair(sys.stdin.read())
-    return parse_pair(Path(source).read_text())
+        raise SequenceFormatError("give a pair file ('-' for stdin) or two inline sequences")
+    return read_pair(sys.stdin if args.inputs[0] == "-" else args.inputs[0])
 
 
 def cmd_verify(args):
-    try:
-        pair = _load_pair_arg(args)
-    except (OSError, ValueError) as exc:
-        return _fail(args, "bad_input", str(exc))
+    pair = _load_pair_arg(args)
     verdict = classify(pair)
     if args.json:
         _emit(
@@ -138,31 +133,23 @@ def cmd_verify(args):
 
 def _resolve_pair(token):
     """A catalog id, or a path to a two-line pair file."""
-    try:
+    with contextlib.suppress(catalog.UnknownIdError):
         return catalog.get(token).pair
-    except KeyError:
-        pass
-    path = Path(token)
-    if path.exists():
-        return parse_pair(path.read_text())
-    raise SequenceFormatError(f"{token!r} is neither a catalog id nor a pair file")
+    with contextlib.suppress(OSError):  # a path exists() cannot check: read_pair reports it
+        if not Path(token).exists():
+            raise SequenceFormatError(f"{token!r} is neither a catalog id nor a pair file")
+    return read_pair(token)
 
 
 def cmd_construct(args):
-    try:
-        gcp = _resolve_pair(args.gcp)
-        seed = _resolve_pair(args.seed)
-    except (OSError, ValueError) as exc:
-        return _fail(args, "bad_input", str(exc))
-    try:
-        if args.mode == "theorem1":
-            rep = construct_theorem1(gcp, seed, auto_normalize=args.auto_normalize)
-        elif args.mode == "lemma8":
-            rep = construct_lemma8(gcp, seed)
-        else:
-            rep = construct_gcp(gcp, seed)
-    except ConstructionError as exc:
-        return _fail(args, exc.code, str(exc))
+    gcp = _resolve_pair(args.gcp)
+    seed = _resolve_pair(args.seed)
+    if args.mode == "theorem1":
+        rep = construct_theorem1(gcp, seed, auto_normalize=args.auto_normalize)
+    elif args.mode == "lemma8":
+        rep = construct_lemma8(gcp, seed)
+    else:
+        rep = construct_gcp(gcp, seed)
     if args.json:
         _emit(
             {
@@ -205,25 +192,19 @@ def cmd_search(args):
 
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
-        message = f"--jobs must be in 1..{cpus} (the CPU count), got {args.jobs}"
-        return _fail(args, "bad_search", message)
+        raise SearchSpecError(f"--jobs must be in 1..{cpus} (the CPU count), got {args.jobs}")
     if args.shard is None and args.shards > 1:
-        message = f"--shards {args.shards} runs one shard; name it with --shard 0..{args.shards - 1}"
-        return _fail(args, "bad_search", message)
-    try:
-        spec = SearchSpec(
-            m=args.length,
-            mid_abs=args.mid_abs,
-            shards=args.shards,
-            shard_index=args.shard or 0,
-            allow_large=args.allow_large,
+        raise SearchSpecError(
+            f"--shards {args.shards} runs one shard; name it with --shard 0..{args.shards - 1}"
         )
-        result = run_search_parallel(spec, args.jobs, progress)
-    except LargeSearchError as exc:
-        return _fail(args, "large_search_gated", str(exc))
-    except ValueError as exc:
-        return _fail(args, "bad_search", str(exc))
-
+    spec = SearchSpec(
+        m=args.length,
+        mid_abs=args.mid_abs,
+        shards=args.shards,
+        shard_index=args.shard or 0,
+        allow_large=args.allow_large,
+    )
+    result = run_search_parallel(spec, args.jobs, progress)
     if args.json:
         _emit(
             {
@@ -256,12 +237,7 @@ def cmd_search(args):
 
 
 def cmd_catalog(args):
-    try:
-        entries = [catalog.get(args.id)] if args.id else [
-            catalog.get(eid) for eid in catalog.ids()
-        ]
-    except KeyError as exc:
-        return _fail(args, "unknown_id", str(exc.args[0]))
+    entries = [catalog.get(eid) for eid in ([args.id] if args.id else catalog.ids())]
     if args.json:
         payload = []
         for e in entries:
@@ -291,10 +267,7 @@ def cmd_catalog(args):
 
 
 def cmd_reproduce(args):
-    try:
-        report = repro.reproduce(args.target)
-    except ValueError as exc:
-        return _fail(args, "bad_target", str(exc))
+    report = repro.reproduce(args.target)
     if args.json:
         _emit(
             {
@@ -325,9 +298,6 @@ def cmd_reproduce(args):
     return 0 if report.ok else 1
 
 
-_COMMANDS = ("verify", "construct", "search", "catalog", "reproduce")  # the schema's "command" values
-
-
 class _UsageError(Exception):
     def __init__(self, parser, message):
         super().__init__(message)
@@ -346,7 +316,7 @@ def build_parser():
         description="Verify, construct and search binary cross Z-complementary pairs.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-    parser.commands = sub.choices  # command name -> its parser
+    parser.commands = sub.choices  # command name -> its parser; the schema's "command" values
 
     p = sub.add_parser("verify", help="classify a pair from a file, stdin or inline")
     p.add_argument(
@@ -408,7 +378,7 @@ def build_parser():
 
 def _asks_for_json(parser, argv):
     """Whether argv's options name --json, spelled out or abbreviated as argparse allows."""
-    if not argv or argv[0] not in _COMMANDS:
+    if not argv or argv[0] not in parser.commands:
         return False
     names = parser.commands[argv[0]]._option_string_actions
     options = argv[1 : argv.index("--")] if "--" in argv else argv[1:]
@@ -428,7 +398,12 @@ def main(argv=None):
         if _asks_for_json(parser, argv):
             return _fail(argparse.Namespace(cmd=argv[0], json=True), "bad_args", str(exc))
         argparse.ArgumentParser.error(exc.parser, str(exc))  # usage text, exit 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (KeyError, ValueError) as exc:
+        if not hasattr(exc, "code"):
+            raise  # not a refusal but a bug, which keeps its traceback
+        return _fail(args, exc.code, exc.args[0])
 
 
 if __name__ == "__main__":

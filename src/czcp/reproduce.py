@@ -31,10 +31,6 @@ class ReproduceReport:
     ok: bool
     checks: tuple
 
-    @property
-    def failures(self):
-        return tuple(c for c in self.checks if not c.ok)
-
 
 def _check(checks, name, expected, actual):
     checks.append(Check(name=name, ok=expected == actual, expected=expected, actual=actual))

@@ -54,8 +54,16 @@ _MAX_M = 40  # the join at M = 40 holds 2^21 half rows (measured 3.7 s, 174 MB p
 _KEY_SHIFTS = 10  # shifts packed into the join key, 6 bits each
 
 
-class LargeSearchError(ValueError):
+class SearchSpecError(ValueError):
+    """Search parameters that name no search."""
+
+    code = "bad_search"  # the CLI's report code
+
+
+class LargeSearchError(SearchSpecError):
     """A SearchSpec over more than 2^24 candidates that does not set allow_large."""
+
+    code = "large_search_gated"
 
 
 @dataclass(frozen=True)
@@ -70,15 +78,15 @@ class SearchSpec:
 
     def __post_init__(self):
         if self.m < 2 or self.m % 2:
-            raise ValueError(f"target length must be even and >= 2, got {self.m}")
+            raise SearchSpecError(f"target length must be even and >= 2, got {self.m}")
         if self.m > _MAX_M:
-            raise ValueError(
+            raise SearchSpecError(
                 f"target length {self.m} exceeds {_MAX_M}, the search's memory limit"
             )
         if self.mid_abs is not None and self.mid_abs < 0:
-            raise ValueError(f"mid_abs must be non-negative, got {self.mid_abs}")
+            raise SearchSpecError(f"mid_abs must be non-negative, got {self.mid_abs}")
         if self.shards < 1 or not 0 <= self.shard_index < self.shards:
-            raise ValueError("need 0 <= shard_index < shards")
+            raise SearchSpecError("need 0 <= shard_index < shards")
         if self.space > _LARGE_SPACE and not self.allow_large:
             raise LargeSearchError(
                 f"length {self.m} searches {self.space:,} candidates; "
@@ -303,9 +311,9 @@ def run_search(spec, progress=None):
     keys = {_canonical_words(*_decode(int(v), spec.m), spec.m) for v in survivors}
 
     reps = [_key_pair(key, spec.m) for key in sorted(keys)]  # key order is text order
-    # the width is the same for every pair of a class, so one check decides it
+    # one check decides a class, whose pairs share a width; width 0 (M = 2) is no CZCP
     target = spec.m // 2 - 1
-    pairs = tuple(pair for pair in reps if czcp_width(pair) == target)
+    pairs = tuple(pair for pair in reps if target >= 1 and czcp_width(pair) == target)
     return SearchResult(
         pairs=pairs,
         classes=len(pairs),

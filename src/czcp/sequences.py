@@ -8,12 +8,15 @@ arithmetic; nothing here ever touches floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 
 class SequenceFormatError(ValueError):
     """Malformed '+'/'-' text. Carries the offending position when known."""
+
+    code = "bad_input"  # the CLI's report code
 
     def __init__(self, message, position=None):
         super().__init__(message)
@@ -109,7 +112,7 @@ class SequencePair:
 
     def __post_init__(self):
         if self.first.n != self.second.n:
-            raise ValueError(
+            raise SequenceFormatError(
                 f"pair members have different lengths: "
                 f"{self.first.n} vs {self.second.n}"
             )
@@ -137,6 +140,15 @@ def parse_pair(text):
             f"a pair file holds exactly two sequence lines, got {len(lines)}"
         )
     return SequencePair(parse_sequence(lines[0]), parse_sequence(lines[1]))
+
+
+def read_pair(source):
+    """parse_pair of a path's or an open file's text; SequenceFormatError if unreadable."""
+    try:
+        text = source.read() if hasattr(source, "read") else Path(source).read_text()
+    except (OSError, ValueError) as exc:
+        raise SequenceFormatError(str(exc)) from exc
+    return parse_pair(text)
 
 
 def kronecker(blocks, fill):

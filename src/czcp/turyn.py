@@ -237,12 +237,11 @@ def construct_theorem1(gcp_pair, seed, auto_normalize=False):
     warnings = []
     chosen = gcp_pair
     normalized = False
-    if not condition_eq4_holds(chosen, seed) and auto_normalize:
-        flipped = SequencePair(gcp_pair.first, gcp_pair.second.negate())
-        if condition_eq4_holds(flipped, seed):
-            chosen = flipped
-            triple = (triple[0], triple[1], -triple[2])  # a.b changes sign with b
-            normalized = True
+    if auto_normalize and not condition_eq4_holds(gcp_pair, seed):
+        # the seed passed seed_eq3 (x*y = 0), so negating b always meets eq. (4)
+        chosen = SequencePair(gcp_pair.first, gcp_pair.second.negate())
+        triple = (triple[0], triple[1], -triple[2])  # a.b changes sign with b
+        normalized = True
     eq4 = condition_eq4_holds(chosen, seed)
     if eq4:
         guaranteed = (m // 2 - 1) * n + z_a

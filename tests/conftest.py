@@ -130,7 +130,7 @@ def brute_force_search(m, mid_abs=None):
             scanned += 1
             pair = SequencePair(a, _word_to_sequence(wb, m))
             v = classify(pair)
-            if v.czcp_width != m // 2 - 1:
+            if not v.is_optimal or v.czcp_width != m // 2 - 1:  # width 0 (M = 2) is no CZCP
                 continue
             if mid_abs is not None and abs(v.mid_aacs) != mid_abs:
                 continue

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from czcp import catalog
-from czcp.cli import main
+from czcp.cli import build_parser, main
 from czcp.correlation import aacs_profile, accs_profile
 from czcp.sequences import BinarySequence, SequencePair
 
@@ -316,6 +317,183 @@ def test_usage_errors_without_a_json_option_print_usage(capsys, argv):
     assert "usage: czcp" in out.err
 
 
+_LONG = "x" * 300  # longer than a file name may be
+_REFUSALS = [
+    # (argv, code, message); {d} is a directory holding the files _refusal_dir writes
+    (
+        ["verify", "{d}/missing.txt"],
+        "bad_input",
+        "[Errno 2] No such file or directory: '{d}/missing.txt'",
+    ),
+    (["verify", "{d}/adir"], "bad_input", "[Errno 21] Is a directory: '{d}/adir'"),
+    (
+        ["verify", "{d}/binary.txt"],
+        "bad_input",
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    ),
+    (["verify", "a\0b"], "bad_input", "embedded null byte"),
+    (["verify", "{d}/lengths.txt"], "bad_input", "pair members have different lengths: 2 vs 3"),
+    (
+        ["verify", "{d}/badchar.txt"],
+        "bad_input",
+        "invalid character '!' at position 1 (expected '+' or '-')",
+    ),
+    (["verify", "++", "+++"], "bad_input", "pair members have different lengths: 2 vs 3"),
+    (
+        ["verify", "+", "+", "+"],
+        "bad_input",
+        "give a pair file ('-' for stdin) or two inline sequences",
+    ),
+    (
+        ["construct", "--gcp", "NOPE", "--seed", "K6"],
+        "bad_input",
+        "'NOPE' is neither a catalog id nor a pair file",
+    ),
+    (
+        ["construct", "--gcp", "GCP2", "--seed", "a\0b"],
+        "bad_input",
+        "'a\\x00b' is neither a catalog id nor a pair file",
+    ),
+    (
+        ["construct", "--gcp", "GCP2", "--seed", _LONG],
+        "bad_input",
+        f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: '{_LONG}'",
+    ),
+    (
+        ["construct", "--gcp", "GCP2", "--seed", "{d}/adir"],
+        "bad_input",
+        "[Errno 21] Is a directory: '{d}/adir'",
+    ),
+    (["construct", "--gcp", "K6", "--seed", "K6"], "not_gcp", "first pair is not a GCP"),
+    (
+        ["construct", "--gcp", "GCP2", "--seed", "GCP10"],
+        "seed_golay_length",
+        "seed length 10 is a Golay number; the width argument needs a non-Golay length",
+    ),
+    (
+        ["construct", "--gcp", "GCP2", "--seed", "T2K24"],
+        "seed_eq3",
+        "seed violates the middle-column product condition",
+    ),
+    (
+        ["construct", "--gcp", "GCP2", "--seed", "EX1"],
+        "seed_not_optimal",
+        "seed must be an optimal (60, 29)-CZCP, measured width 24",
+    ),
+    (
+        ["construct", "--gcp", "GCP2", "--seed", "{d}/odd.txt"],
+        "seed_odd_length",
+        "seed length must be even",
+    ),
+    (
+        ["construct", "--gcp", "{d}/plus.txt", "--seed", "K6"],
+        "gcp_zone_zero",
+        "GCP has no cross-correlation zone",
+    ),
+    (
+        ["construct", "--gcp", "GCP2", "--seed", "{d}/plus.txt", "--mode", "lemma8"],
+        "seed_not_czcp",
+        "second pair is not a CZCP",
+    ),
+    (
+        ["construct", "--gcp", "GCP2", "--seed", "K6", "--mode", "gcp"],
+        "not_gcp",
+        "second pair is not a GCP",
+    ),
+    (
+        ["search", "--length", "24"],
+        "large_search_gated",
+        "length 24 searches 33,554,432 candidates; rerun with allow_large (--allow-large)",
+    ),
+    (["search", "--length", "-2"], "bad_search", "target length must be even and >= 2, got -2"),
+    (["search", "--length", "0"], "bad_search", "target length must be even and >= 2, got 0"),
+    (["search", "--length", "7"], "bad_search", "target length must be even and >= 2, got 7"),
+    (
+        ["search", "--length", "42"],
+        "bad_search",
+        "target length 42 exceeds 40, the search's memory limit",
+    ),
+    (
+        ["search", "--length", "64"],
+        "bad_search",
+        "target length 64 exceeds 40, the search's memory limit",
+    ),
+    (
+        ["search", "--length", "6", "--mid-abs", "-1"],
+        "bad_search",
+        "mid_abs must be non-negative, got -1",
+    ),
+    (["search", "--length", "6", "--shards", "0"], "bad_search", "need 0 <= shard_index < shards"),
+    (
+        ["search", "--length", "6", "--shard", "3", "--shards", "2"],
+        "bad_search",
+        "need 0 <= shard_index < shards",
+    ),
+    (
+        ["search", "--length", "12", "--shards", "4"],
+        "bad_search",
+        "--shards 4 runs one shard; name it with --shard 0..3",
+    ),
+    (
+        ["search", "--length", "6", "--jobs", "0"],
+        "bad_search",
+        f"--jobs must be in 1..{os.cpu_count() or 1} (the CPU count), got 0",
+    ),
+    (
+        ["catalog", "NOPE"],
+        "unknown_id",
+        f"unknown catalog id 'NOPE' (known: {', '.join(catalog.ids())})",
+    ),
+]
+
+
+@pytest.fixture
+def refusal_dir(tmp_path):
+    (tmp_path / "adir").mkdir()
+    for name, data in (
+        ("binary.txt", b"\xff\xfe\x00\x81\n\xff\n"),
+        ("lengths.txt", b"++\n+++\n"),
+        ("badchar.txt", b"+!-\n++-\n"),
+        ("odd.txt", b"+++\n++-\n"),
+        ("plus.txt", b"+\n+\n"),  # a length-1 GCP, whose CZCP width is 0
+    ):
+        (tmp_path / name).write_bytes(data)
+    return str(tmp_path)
+
+
+@pytest.mark.parametrize("json_flag", [True, False])
+@pytest.mark.parametrize("argv, code, message", _REFUSALS)
+def test_refusals_name_their_cause(capsys, refusal_dir, argv, code, message, json_flag):
+    argv = [a.replace("{d}", refusal_dir) for a in argv]
+    message = message.replace("{d}", refusal_dir)
+    status, out, err = run_cli(capsys, *argv, *["--json"] * json_flag)
+    assert status == 2
+    if json_flag:
+        report = json.loads(out)
+        jsonschema.validate(report, SCHEMA)
+        assert report == {"command": argv[0], "error": {"code": code, "message": message}}
+        assert err == ""
+    else:
+        assert (out, err) == ("", f"error ({code}): {message}\n")
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError])
+def test_errors_without_a_code_propagate(capsys, monkeypatch, error):
+    # only the library's refusals become exit 2; anything else is a bug and keeps its traceback
+    import czcp.cli as cli
+
+    def broken(pair):
+        raise error("not a refusal")
+
+    monkeypatch.setattr(cli, "classify", broken)
+    with pytest.raises(error, match="not a refusal"):
+        main(["verify", "+----+", "+-+++-", "--json"])
+
+
+def test_parser_commands_are_the_schema_commands():
+    assert list(build_parser().commands) == SCHEMA["properties"]["command"]["enum"]
+
+
 def test_search_odd_length_refused(capsys):
     code, _, _ = run_cli(capsys, "search", "--length", "7", "--json")
     assert code == 2
@@ -480,6 +658,15 @@ def test_fuzz_construct(gcp, seed, mode, normalize, json_flag, extra, files):
             argv += [flag, value]
     argv += ["--auto-normalize"] * normalize + ["--json"] * json_flag
     _run_fuzzed(argv, files, "")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    ids=st.lists(st.sampled_from(["K48", "K56", *catalog.ids()]) | _TOKEN, max_size=2),
+    json_flag=st.booleans(),
+)
+def test_fuzz_catalog(ids, json_flag):
+    _run_fuzzed(["catalog", *ids, *["--json"] * json_flag], [], "")
 
 
 # argparse takes any unambiguous prefix, so "--a" would be --allow-large and "--j" --jobs

@@ -263,6 +263,19 @@ def test_search_soundness():
         assert canonicalize(pair) == pair
 
 
+def test_search_keeps_only_optimal_pairs():
+    # at M = 2 the target width M/2-1 is 0, which is no CZCP, so no class is kept
+    assert run_search(SearchSpec(m=2)).pairs == ()
+    for m in (2, 4):
+        brute = brute_force_search(m)
+        assert [p.texts() for p in run_search(SearchSpec(m=m)).pairs] == [
+            p.texts() for p in brute.pairs
+        ]
+    for m in range(2, 23, 2):
+        for pair in run_search(SearchSpec(m=m)).pairs:
+            assert classify(pair).is_optimal, (m, pair.texts())
+
+
 def test_search_spectrum_of_results():
     for m in (6, 12):
         res = run_search(SearchSpec(m=m, mid_abs=2))

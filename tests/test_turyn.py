@@ -171,6 +171,30 @@ def test_theorem1_auto_normalize_restores_guarantee():
     assert list(aacs_profile(rep.pair)) == list(aacs_profile(direct.pair))
 
 
+def test_auto_normalize_always_restores_theorem1():
+    # every seed meets eq. (3), so negating b always meets eq. (4): a normalized
+    # construction needs no second check of the sign condition
+    from czcp.search import SearchSpec, run_search
+    from czcp.verify import lemma9_condition_holds
+
+    seeds = [
+        pair
+        for m in (6, 12, 14, 24, 28)
+        for pair in run_search(SearchSpec(m=m, allow_large=True)).pairs
+        if lemma9_condition_holds(pair)
+    ]
+    built = flipped = 0
+    for n in (2, 10, 26):
+        gcp = catalog.golay_pair(n)
+        for b in (gcp.second, gcp.second.negate()):
+            for seed in seeds:
+                rep = construct_theorem1(SequencePair(gcp.first, b), seed, auto_normalize=True)
+                assert rep.basis == "theorem1" and rep.condition_eq4, (n, seed.texts())
+                built += 1
+                flipped += rep.normalized
+    assert (built, flipped) == (144, 72)
+
+
 def test_lemma8_composed48():
     rep = construct_lemma8(catalog.golay_pair(4), catalog.get("K48").pair)
     assert rep.guaranteed_width == 4 * 23 == 92
