@@ -7,8 +7,10 @@ The catalog carries four kinds of entries:
 * the four optimal pairs of lengths 12, 24, 48, 56 obtained by composing
   the seeds with the length-2 GCP (K48/K56 are the customary short ids for
   the two new-parameter pairs),
-* the Golay kernels of lengths 2, 10 and 26 from which GCPs of any length
-  2^a * 10^b * 26^c are composed,
+* the Golay kernels of lengths 2, 10 and 26, from which golay_pair composes
+  a GCP of any length N = 2^a * 10^b * 26^c with the best kernel last, so
+  it attains its family's width (gcp_family): N/2 with a factor 2, else
+  6N/13 with a factor 26, else 2N/5,
 * the worked length-60 example pair.
 
 Every entry's claimed width and profiles are recomputed and checked by the
@@ -18,11 +20,11 @@ test suite; nothing is trusted as printed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .sequences import SequencePair
-from .turyn import _oppose_leading_signs, turyn_compose
-from .verify import czcp_width, golay_factorization
+from .turyn import turyn_compose
+from .verify import golay_factorization
 
 
 class UnknownIdError(KeyError):
@@ -192,75 +194,44 @@ def kernel_entries():
     return tuple(_KERNELS.values())
 
 
-def golay_pair(n, order="desc"):
+class GcpFamily(NamedTuple):
+    family: int  # 1..4, by the kernels that divide n
+    width: int  # the CZCP width golay_pair(n) attains
+
+
+def gcp_family(n):
+    """The family of an even Golay number n and the width of golay_pair(n).
+
+    The width is n times the ratio of the kernel composed last: family 1 (a
+    factor 2) ends on 2 and gives n/2, family 2 (only 10s) ends on 10 and
+    gives 2n/5, families 3 (only 26s) and 4 (10s and 26s) end on 26 and give
+    6n/13.
+    """
+    fact = golay_factorization(n)
+    if fact is None or n % 2:
+        raise ValueError(f"{n} is not an even Golay number (2^a * 10^b * 26^c)")
+    if fact.alpha:
+        return GcpFamily(1, n // 2)
+    if not fact.gamma:
+        return GcpFamily(2, 2 * n // 5)
+    return GcpFamily(4 if fact.beta else 3, 6 * n // 13)
+
+
+def golay_pair(n):
     """A GCP of length n = 2^a * 10^b * 26^c by iterated composition of kernels.
 
-    `order` is "desc" (largest kernel first, the default), "asc", or an
-    explicit sequence of kernel lengths whose product is n.
+    The kernel with the best ratio goes last, so for even n the pair attains
+    the width gcp_family(n) gives.
     """
     fact = golay_factorization(n)
     if fact is None:
         raise ValueError(f"{n} is not a Golay number (2^a * 10^b * 26^c)")
-    if order == "desc":
+    if fact.alpha:
         lengths = [26] * fact.gamma + [10] * fact.beta + [2] * fact.alpha
-    elif order == "asc":
-        lengths = [2] * fact.alpha + [10] * fact.beta + [26] * fact.gamma
     else:
-        lengths = list(order)
-        need = sorted([26] * fact.gamma + [10] * fact.beta + [2] * fact.alpha)
-        if sorted(lengths) != need:
-            raise ValueError(
-                f"kernel lengths {lengths} do not factor {n} (need {need})"
-            )
+        lengths = [10] * fact.beta + [26] * fact.gamma
     pair = SequencePair.from_texts("+", "+")
     kernels = {k.pair.n: k.pair for k in _KERNELS.values()}
     for m in lengths:
         pair = turyn_compose(pair, kernels[m])
     return pair
-
-
-@dataclass(frozen=True)
-class GcpCzcpReport:
-    """A composed GCP together with its measured and family-expected widths."""
-
-    pair: SequencePair
-    width: int
-    expected_width: Optional[int]
-    family: Optional[int]
-    meets_expectation: Optional[bool]
-
-
-def _family_expectation(n):
-    fact = golay_factorization(n)
-    if fact is None or n % 2:
-        return None, None
-    if fact.alpha >= 1:
-        return 1, n // 2
-    if fact.beta >= 1 and fact.gamma == 0:
-        return 2, 2 * n // 5
-    if fact.gamma >= 1:
-        return (3 if fact.beta == 0 else 4), 6 * n // 13
-    return None, None
-
-
-def czcp_gcp(n, order="desc", normalize=False):
-    """golay_pair(n) with its measured CZCP width and the family expectation.
-
-    The expectation (N/2, 2N/5 or 6N/13 depending on which kernel family n
-    belongs to) is a known-existence figure; whether iterated composition in
-    the requested order attains it is measured, never assumed.
-    """
-    pair = golay_pair(n, order=order)
-    width = czcp_width(pair)
-    if normalize:
-        # golay_pair builds a GCP, and the sign flip changes no width
-        pair = _oppose_leading_signs(pair)
-    family, expected = _family_expectation(n)
-    meets = None if expected is None else width >= expected
-    return GcpCzcpReport(
-        pair=pair,
-        width=width,
-        expected_width=expected,
-        family=family,
-        meets_expectation=meets,
-    )

@@ -14,7 +14,12 @@ from fractions import Fraction
 from . import catalog
 from .search import SearchSpec, canonicalize, equivalents, run_search
 from .turyn import construct_lemma8, construct_theorem1
-from .verify import classify, lemma5_structure_holds, lemma9_condition_holds
+from .verify import (
+    classify,
+    golay_factorization,
+    lemma5_structure_holds,
+    lemma9_condition_holds,
+)
 
 
 @dataclass(frozen=True)
@@ -142,20 +147,22 @@ def reproduce_table3():
     ex = reproduce_example1()
     _check(checks, "framework.(60,24).instance", True, ex.ok)
 
-    # family instances: each seed composed with a GCP of length N attains the
-    # family's width formula exactly
-    families = (
-        ("family1", 2, lambda m, n: (m - 1) * n // 2),
-        ("family1", 4, lambda m, n: (m - 1) * n // 2),
-        ("family2", 10, lambda m, n: (5 * m - 6) * n // 10),
-        ("family34", 26, lambda m, n: (13 * m - 14) * n // 26),
-    )
-    for family, n, width in families:
+    # the 16 classes: each seed composed with the GCP of every even Golay
+    # length N up to 2600 attains (M/2-1)N plus the GCP family's width exactly
+    for n in range(2, 2601, 2):
+        if golay_factorization(n) is None:
+            continue
         gcp = catalog.golay_pair(n)
+        family, width = catalog.gcp_family(n)
         for m in lengths:
             seed = catalog.seed(f"K{m}").pair
             rep = construct_theorem1(gcp, seed, auto_normalize=True)
-            _check(checks, f"{family}.M{m}.N{n}.width", width(m, n), rep.measured_width)
+            _check(
+                checks,
+                f"family{family}.M{m}.N{n}.width",
+                (m // 2 - 1) * n + width,
+                rep.measured_width,
+            )
 
     # optimal new-parameter row: (48,23) and (56,27) with ratio 1
     for eid, m, z in (("K48", 48, 23), ("K56", 56, 27)):

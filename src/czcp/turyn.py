@@ -127,18 +127,14 @@ def condition_eq4_holds(first_pair, second_pair):
     return (r + 1) * x + (r - 1) * y == 0
 
 
-def _oppose_leading_signs(pair):
-    # negating the second member keeps AACS and only negates ACCS, so no width changes
-    if pair.first[0] == pair.second[0]:
-        return SequencePair(pair.first, pair.second.negate())
-    return pair
-
-
 def normalize_gcp_for_theorem(pair):
     """Fix a0 = -b0 for a GCP by negating the second member when needed."""
     if not is_gcp(pair):
         raise ConstructionError("not_gcp", "normalization requires a GCP")
-    return _oppose_leading_signs(pair)
+    # negating the second member keeps AACS and only negates ACCS, so no width changes
+    if pair.first[0] == pair.second[0]:
+        return SequencePair(pair.first, pair.second.negate())
+    return pair
 
 
 @dataclass(frozen=True)

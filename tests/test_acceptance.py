@@ -224,41 +224,22 @@ def test_criterion_7_property_suites():
 def test_criterion_8_composition_width_formulas():
     t0 = time.monotonic()
     details = []
-    for n in (2, 4, 8):
-        rep_gcp = catalog.czcp_gcp(n)
-        assert rep_gcp.width == n // 2, f"composed GCP of length {n} not perfect"
+    # the paper's width of seed M composed with a GCP of each family
+    formulas = {
+        1: ("(M-1)N/2", lambda m, n: (m - 1) * n // 2),
+        2: ("(5M-6)N/10", lambda m, n: (5 * m - 6) * n // 10),
+        3: ("(13M-14)N/26", lambda m, n: (13 * m - 14) * n // 26),
+        4: ("(13M-14)N/26", lambda m, n: (13 * m - 14) * n // 26),
+    }
+    for n, family in ((2, 1), (4, 1), (8, 1), (10, 2), (26, 3), (260, 4), (2600, 4)):
+        gcp = catalog.golay_pair(n)
+        assert catalog.gcp_family(n) == (family, czcp_width(gcp)), n
+        text, width = formulas[family]
         for seed_id in SEED_IDS:
             seed = catalog.seed(seed_id).pair
-            m = seed.n
-            rep = construct_theorem1(rep_gcp.pair, seed, auto_normalize=True)
-            assert rep.measured_width >= (m - 1) * n // 2
-    details.append("family 1 (N=2,4,8): width >= (M-1)N/2")
-
-    for seed_id in SEED_IDS:
-        seed = catalog.seed(seed_id).pair
-        m = seed.n
-        rep = construct_theorem1(catalog.golay_pair(10), seed, auto_normalize=True)
-        assert rep.measured_width >= (5 * m - 6) * 10 // 10
-    details.append("family 2 (N=10): width >= (5M-6)N/10")
-
-    rep26 = catalog.czcp_gcp(26)
-    z26 = rep26.width  # measured, not assumed
-    shortfalls = []
-    for seed_id in SEED_IDS:
-        seed = catalog.seed(seed_id).pair
-        m = seed.n
-        rep = construct_theorem1(rep26.pair, seed, auto_normalize=True)
-        assert rep.measured_width >= (m // 2 - 1) * 26 + z26
-        family_width = (13 * m - 14) * 26 // 26
-        if rep.measured_width >= family_width:
-            continue
-        shortfalls.append((26 * m, rep.measured_width, family_width))
-    if z26 == 12:
-        assert not shortfalls  # measured kernel width already attains 6N/13
-    details.append(
-        f"family 3 (N=26, measured kernel width {z26}): "
-        + ("no shortfalls" if not shortfalls else f"shortfalls {shortfalls}")
-    )
+            rep = construct_theorem1(gcp, seed, auto_normalize=True)
+            assert rep.measured_width == width(seed.n, n), (seed_id, n)
+        details.append(f"family {family} (N={n}): width == {text}")
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
     _report(8, "; ".join(details) + f" in {elapsed:.2f}s")

@@ -2,8 +2,7 @@ import pytest
 
 from czcp import catalog, correlation
 from czcp.correlation import aacs_profile, accs_profile
-from czcp.turyn import normalize_gcp_for_theorem
-from czcp.verify import classify, czcp_width, is_gcp
+from czcp.verify import classify, czcp_width, golay_factorization, is_gcp
 
 
 def test_every_claim_recomputes():
@@ -61,67 +60,28 @@ def test_golay_pair_rejects_non_golay():
         catalog.golay_pair(12)
 
 
-def test_golay_pair_is_gcp_for_many_lengths():
-    for n in (4, 8, 16, 20, 26, 32, 40, 52, 80, 100, 104, 128, 160, 200,
-              208, 260, 320, 400, 416, 520, 640, 800, 1040):
-        assert is_gcp(catalog.golay_pair(n)), n
+def test_golay_pair_attains_its_family_width():
+    # every even Golay length below 20000, families 1 to 4
+    lengths = [n for n in range(2, 20000, 2) if golay_factorization(n) is not None]
+    assert {catalog.gcp_family(n).family for n in lengths} == {1, 2, 3, 4}
+    for n in lengths:
+        pair = catalog.golay_pair(n)
+        assert is_gcp(pair), n
+        assert czcp_width(pair) == catalog.gcp_family(n).width, n
 
 
-def test_golay_pair_explicit_order():
-    pair = catalog.golay_pair(20, order=[2, 10])
-    assert pair.n == 20 and is_gcp(pair)
+@pytest.mark.parametrize("n", [-2, 0, 1, 5, 6, 12])
+def test_gcp_family_rejects_odd_and_non_golay(n):
     with pytest.raises(ValueError):
-        catalog.golay_pair(20, order=[10, 10])
+        catalog.gcp_family(n)
 
 
-def test_czcp_gcp_small_lengths():
-    assert catalog.czcp_gcp(2).width == 1
-    assert catalog.czcp_gcp(10).width == 4  # 2N/5
-    rep4 = catalog.czcp_gcp(4)
-    assert rep4.width == 2 and rep4.family == 1 and rep4.meets_expectation
+def test_golay_pair_correlates_nothing(monkeypatch):
+    def refuse(x, y):
+        raise AssertionError("golay_pair correlated")
 
-
-def test_czcp_gcp_26_kernel_hits_family3():
-    rep = catalog.czcp_gcp(26)
-    assert rep.width == 12 and rep.expected_width == 12 and rep.meets_expectation
-
-
-def test_czcp_gcp_order_changes_width_honestly():
-    # largest-first at 260 composes 26 then 10 and measures short of 6N/13;
-    # smallest-first puts the width-12 kernel last and reaches it
-    desc = catalog.czcp_gcp(260, order="desc")
-    asc = catalog.czcp_gcp(260, order="asc")
-    assert desc.expected_width == asc.expected_width == 120
-    assert desc.meets_expectation is False and desc.width == 104
-    assert asc.meets_expectation is True and asc.width >= 120
-
-
-def test_czcp_gcp_normalized_keeps_width():
-    plain = catalog.czcp_gcp(20)
-    normalized = catalog.czcp_gcp(20, normalize=True)
-    assert plain.width == normalized.width
-    first = normalized.pair
-    assert first.first[0] == -first.second[0]
-
-
-@pytest.mark.parametrize("normalize", [False, True])
-def test_czcp_gcp_classifies_once(monkeypatch, normalize):
-    # one classify, three length-n correlations; golay_pair itself correlates nothing
-    want = catalog.golay_pair(1040)
-    if normalize:
-        want = normalize_gcp_for_theorem(want)
-    width = czcp_width(want)
-    calls = []
-    real = correlation._correlate
-
-    def counted(x, y):
-        calls.append(len(x))
-        return real(x, y)
-
-    monkeypatch.setattr(correlation, "_correlate", counted)
-    rep = catalog.czcp_gcp(1040, normalize=normalize)
-    assert calls == [1040] * 3
-    assert rep.pair == want and rep.width == width
+    monkeypatch.setattr(correlation, "_correlate", refuse)
+    assert catalog.golay_pair(1040).n == 1040
 
 
 def test_optimal_lengths_summary():
