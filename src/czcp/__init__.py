@@ -34,7 +34,6 @@ from .turyn import (
     construct_gcp,
     construct_lemma8,
     construct_theorem1,
-    normalize_gcp_for_theorem,
     turyn_compose,
 )
 from .verify import (

@@ -190,10 +190,6 @@ def table2_entries():
     return tuple(_COMPOSED.values())
 
 
-def kernel_entries():
-    return tuple(_KERNELS.values())
-
-
 class GcpFamily(NamedTuple):
     family: int  # 1..4, by the kernels that divide n
     width: int  # the CZCP width golay_pair(n) attains

@@ -24,8 +24,9 @@ two bits choosing the middle signs); shards are contiguous ranges of that
 integer, so any shard partition yields the same space deterministically.
 The high bits of an encoding are the P- half's word, so each shard joins
 only the P- words whose encodings can land in its range and keeps the
-encodings that do; the block scanner _scan_block then re-checks them
-exactly and applies the mid_abs filter.
+encodings that do. The join compares every shift 1..M/2-1 in full, so its
+matches are exactly the candidates with AACS zero there; _scan_block only
+applies the mid_abs filter on |AACS(M/2)|.
 
 Survivors are grouped into equivalence classes on their packed sign words
 (_canonical_words), with no sequence built per survivor; each class is
@@ -138,7 +139,10 @@ def canonicalize(pair):
 
 
 def _decode(index, m):
-    """Candidate encoding -> packed sign words (x for c, y for d)."""
+    """Candidate encoding -> packed sign words (x for c, y for d).
+
+    `index` is a Python int or a uint64 array; the words have its type.
+    """
     x = (index >> 2) << 1  # bit j = sign of c_j, c0 = +1
     h = m // 2
     flip = ((1 << m) - (1 << (h + 1))) | ((index & 1) << (h - 1)) | (
@@ -185,38 +189,20 @@ def _check_shifts(m):
 
 
 def _scan_block(indexes, m, mid_abs):
-    """Filter a block of candidate encodings; returns surviving encodings.
+    """The encodings in `indexes` whose |AACS(M/2)| is mid_abs; all of them if mid_abs is None.
 
-    The exact reference for the join, and the mid_abs filter of run_search.
+    The name is a lookup site perfbench/tracer.py wraps to count survivors.
     """
+    if mid_abs is None:
+        return indexes
     h = m // 2
-    x = (indexes >> np.uint64(2)) << np.uint64(1)
-    flip = (
-        np.uint64((1 << m) - (1 << (h + 1)))
-        | ((indexes & np.uint64(1)) << np.uint64(h - 1))
-        | (((indexes >> np.uint64(1)) & np.uint64(1)) << np.uint64(h))
+    overlap = np.uint64((1 << (m - h)) - 1)
+    pc = sum(
+        np.bitwise_count((w ^ (w >> np.uint64(h))) & overlap).astype(np.int64)
+        for w in _decode(indexes, m)
     )
-    y = x ^ flip
-    keep = indexes
-    for u in _check_shifts(m):
-        overlap = np.uint64((1 << (m - u)) - 1)
-        diff_x = (x ^ (x >> np.uint64(u))) & overlap
-        diff_y = (y ^ (y >> np.uint64(u))) & overlap
-        # AACS(u) = 2*(m-u) - 2*(popcount_x + popcount_y)
-        ok = np.bitwise_count(diff_x) + np.bitwise_count(diff_y) == m - u
-        keep, x, y = keep[ok], x[ok], y[ok]
-        if keep.size == 0:
-            return keep
-    if mid_abs is not None:
-        overlap = np.uint64((1 << (m - h)) - 1)
-        diff_x = (x ^ (x >> np.uint64(h))) & overlap
-        diff_y = (y ^ (y >> np.uint64(h))) & overlap
-        pc = np.bitwise_count(diff_x).astype(np.int64) + np.bitwise_count(
-            diff_y
-        ).astype(np.int64)
-        mid = 2 * (m - h) - 2 * pc
-        keep = keep[np.abs(mid) == mid_abs]
-    return keep
+    # AACS(M/2) = 2*(m-h) - 2*(popcount_x + popcount_y)
+    return indexes[np.abs(2 * (m - h) - 2 * pc) == mid_abs]
 
 
 def _halves(m, middle):
@@ -242,7 +228,7 @@ def _half_sums(words, positions, m):
 
     With mask the indices i for which i and i+u both lie in the set, the sum
     is popcount(mask) - 2 * popcount((w ^ w >> u) & mask), the identity
-    _scan_block uses.
+    _scan_block applies at shift M/2.
     """
     inside = sum(1 << p for p in positions)
     rows = np.empty((len(_check_shifts(m)), words.size), dtype=np.int8)
@@ -306,7 +292,7 @@ def run_search(spec, progress=None):
         found.append(_join(spec.m, middle, lo, hi))
         if progress is not None:
             progress((middle + 1) * (hi - lo) // 4, hi - lo)
-    cands = np.sort(np.concatenate(found))
+    cands = np.concatenate(found)
     survivors = _scan_block(cands, spec.m, spec.mid_abs)
     keys = {_canonical_words(*_decode(int(v), spec.m), spec.m) for v in survivors}
 
@@ -356,11 +342,17 @@ def _run_shard(spec):
 def run_search_parallel(spec, jobs, progress=None):
     """Fan a whole-space search out over `jobs` worker processes.
 
-    With jobs <= 1, or a spec that names one shard of several, the search
-    runs here via run_search(spec, progress). Workers report no progress.
+    With jobs <= 1 the search runs here via run_search(spec, progress).
+    Workers report no progress. A spec that names one shard of several is
+    refused for jobs > 1: the fan-out splits the whole space itself.
     """
-    if jobs <= 1 or spec.shards > 1:
+    if jobs <= 1:
         return run_search(spec, progress)
+    if spec.shards > 1:
+        raise SearchSpecError(
+            f"jobs {jobs} fans out a whole-space search; shard {spec.shard_index} "
+            f"of {spec.shards} runs in one process"
+        )
     specs = [replace(spec, shards=jobs, shard_index=i) for i in range(jobs)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         results = list(pool.map(_run_shard, specs))

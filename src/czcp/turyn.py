@@ -54,7 +54,7 @@ from .verify import (
     classify,
     czcp_width,  # noqa: F401  a lookup site perfbench/tracer.py wraps; nothing here calls it
     golay_factorization,
-    is_gcp,
+    is_gcp,  # noqa: F401  a lookup site perfbench/tracer.py wraps; nothing here calls it
     lemma9_condition_holds,
 )
 
@@ -125,16 +125,6 @@ def condition_eq4_holds(first_pair, second_pair):
     r = first_pair.first[0] * first_pair.second[0]
     x, y = _middle_terms(second_pair)
     return (r + 1) * x + (r - 1) * y == 0
-
-
-def normalize_gcp_for_theorem(pair):
-    """Fix a0 = -b0 for a GCP by negating the second member when needed."""
-    if not is_gcp(pair):
-        raise ConstructionError("not_gcp", "normalization requires a GCP")
-    # negating the second member keeps AACS and only negates ACCS, so no width changes
-    if pair.first[0] == pair.second[0]:
-        return SequencePair(pair.first, pair.second.negate())
-    return pair
 
 
 @dataclass(frozen=True)
@@ -233,12 +223,12 @@ def construct_theorem1(gcp_pair, seed, auto_normalize=False):
     warnings = []
     chosen = gcp_pair
     normalized = False
-    if auto_normalize and not condition_eq4_holds(gcp_pair, seed):
+    eq4 = condition_eq4_holds(gcp_pair, seed)
+    if auto_normalize and not eq4:
         # the seed passed seed_eq3 (x*y = 0), so negating b always meets eq. (4)
         chosen = SequencePair(gcp_pair.first, gcp_pair.second.negate())
         triple = (triple[0], triple[1], -triple[2])  # a.b changes sign with b
-        normalized = True
-    eq4 = condition_eq4_holds(chosen, seed)
+        normalized = eq4 = True
     if eq4:
         guaranteed = (m // 2 - 1) * n + z_a
         basis = "theorem1"

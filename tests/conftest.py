@@ -3,7 +3,9 @@
 The reference implementations here are deliberately written from the bare
 definitions (explicit index loops, no numpy, no shared code with the
 package) so the package's optimized paths are checked against something
-that cannot inherit their bugs.
+that cannot inherit their bugs. The exception is scan_block, the
+bit-parallel scanner the search's join is tested against; check_scan_block
+checks it against ref_seed_shape.
 """
 
 import random
@@ -15,7 +17,6 @@ from czcp.search import (
     SearchResult,
     SearchSpec,
     _decode,
-    _scan_block,
     _word_to_sequence,
     canonicalize,
 )
@@ -96,15 +97,53 @@ def ref_seed_shape(pair, mid_abs=None):
     return True
 
 
+def scan_block(indexes, m, mid_abs):
+    """Encodings in the uint64 array `indexes` whose pairs have the seed shape.
+
+    Bit-parallel ref_seed_shape on the half-structured candidates: AACS(u) =
+    2*(m-u) - 2*(popcount_x + popcount_y) of the shifted-XOR words, zero at
+    u = 1..M/2-1 and |AACS(M/2)| == mid_abs if given; every shift above M/2
+    sums to zero for every candidate. The reference the search's join is
+    tested against.
+    """
+    x, y = _decode(indexes, m)
+    keep = indexes
+    for u in range(1, m // 2 + 1):
+        overlap = np.uint64((1 << (m - u)) - 1)
+        pc = sum(
+            np.bitwise_count((w ^ (w >> np.uint64(u))) & overlap).astype(np.int64)
+            for w in (x, y)
+        )
+        aacs = 2 * (m - u) - 2 * pc
+        if u < m // 2:
+            ok = aacs == 0
+        elif mid_abs is not None:
+            ok = np.abs(aacs) == mid_abs
+        else:
+            break
+        keep, x, y = keep[ok], x[ok], y[ok]
+    return keep
+
+
+def scan_space(m, mid_abs):
+    """scan_block over the whole candidate space of length m, in blocks of 2^20."""
+    space = SearchSpec(m=m, allow_large=True).space
+    blocks = [
+        scan_block(np.arange(lo, min(lo + (1 << 20), space), dtype=np.uint64), m, mid_abs)
+        for lo in range(0, space, 1 << 20)
+    ]
+    return np.concatenate(blocks)
+
+
 def check_scan_block(rng, m, sample):
-    """The search's block scanner against ref_seed_shape on decoded candidates.
+    """scan_block against ref_seed_shape on decoded candidates.
 
     The block is `sample` random encodings plus every encoding the scanner
     keeps over the whole space (so accepting cases occur); over the block
     the scanner must keep exactly the encodings the definition accepts.
     """
     space = SearchSpec(m=m).space
-    found = _scan_block(np.arange(space, dtype=np.uint64), m, None)
+    found = scan_space(m, None)
     chosen = set(rng.sample(range(space), min(sample, space))) | {int(v) for v in found}
     block = np.array(sorted(chosen), dtype=np.uint64)
     pairs = {}
@@ -113,7 +152,7 @@ def check_scan_block(rng, m, sample):
         pairs[index] = SequencePair(_word_to_sequence(x, m), _word_to_sequence(y, m))
     for mid_abs in (None, 0, 2):
         want = [i for i in sorted(chosen) if ref_seed_shape(pairs[i], mid_abs)]
-        assert [int(v) for v in _scan_block(block, m, mid_abs)] == want, (m, mid_abs)
+        assert [int(v) for v in scan_block(block, m, mid_abs)] == want, (m, mid_abs)
     return len(found)
 
 

@@ -387,6 +387,11 @@ _REFUSALS = [
         "--shards 4 runs one shard; name it with --shard 0..3",
     ),
     (
+        ["search", "--length", "12", "--shards", "4", "--shard", "1", "--jobs", "2"],
+        "bad_search",
+        "jobs 2 fans out a whole-space search; shard 1 of 4 runs in one process",
+    ),
+    (
         ["search", "--length", "6", "--jobs", "0"],
         "bad_search",
         f"--jobs must be in 1..{os.cpu_count() or 1} (the CPU count), got 0",

@@ -20,7 +20,14 @@ from czcp.search import (
 from czcp.sequences import SequencePair
 from czcp.verify import classify, czcp_width, lemma5_structure_holds
 
-from conftest import brute_force_search, random_pair, ref_aacs
+from conftest import (
+    brute_force_search,
+    random_pair,
+    ref_aacs,
+    ref_seed_shape,
+    scan_block,
+    scan_space,
+)
 
 
 def test_canonicalize_idempotent(rng):
@@ -123,18 +130,19 @@ def test_aacs_vanishes_above_half_shift():
             assert all(ref_aacs(pair, u) == 0 for u in range(m // 2 + 1, m)), m
 
 
-def _scan_space(m, mid_abs):
-    space = SearchSpec(m=m).space
-    blocks = [
-        _scan_block(np.arange(lo, min(lo + (1 << 20), space), dtype=np.uint64), m, mid_abs)
-        for lo in range(0, space, 1 << 20)
-    ]
-    return np.concatenate(blocks)
-
-
 def _whole_join(m):
     space = SearchSpec(m=m, allow_large=True).space
     return np.sort(np.concatenate([_join(m, middle, 0, space) for middle in range(4)]))
+
+
+def test_decode_arrays_match_scalar_decode():
+    for m in range(2, 13, 2):
+        space = SearchSpec(m=m).space
+        x, y = _decode(np.arange(space, dtype=np.uint64), m)
+        assert x.dtype == y.dtype == np.uint64
+        assert [(int(a), int(b)) for a, b in zip(x, y)] == [
+            _decode(i, m) for i in range(space)
+        ], m
 
 
 def test_join_matches_block_scanner():
@@ -142,10 +150,21 @@ def test_join_matches_block_scanner():
     for m in range(2, 23, 2):
         joined = _whole_join(m)
         assert joined.dtype == np.uint64
-        assert np.array_equal(joined, _scan_space(m, None)), m
+        assert np.array_equal(joined, scan_space(m, None)), m
         for mid_abs in (0, 2):
-            assert np.array_equal(_scan_block(joined, m, mid_abs), _scan_space(m, mid_abs))
-    assert _scan_space(18, None).size == _scan_space(22, None).size == 0
+            assert np.array_equal(_scan_block(joined, m, mid_abs), scan_space(m, mid_abs))
+    assert scan_space(18, None).size == scan_space(22, None).size == 0
+
+
+def test_scan_block_keeps_join_matches_of_seed_shape():
+    # the join is the search's only shift check; _scan_block filters its
+    # matches on |AACS(M/2)| alone, which must agree with the definition
+    for m in range(4, 29, 2):
+        joined = _whole_join(m)
+        pairs = [_word_pair(*_decode(int(i), m), m) for i in joined]
+        for mid_abs in (None, 0, 2, 4):
+            want = [int(i) for i, p in zip(joined, pairs) if ref_seed_shape(p, mid_abs)]
+            assert [int(v) for v in _scan_block(joined, m, mid_abs)] == want, (m, mid_abs)
 
 
 def test_join_compares_shifts_past_the_key(monkeypatch):
@@ -153,7 +172,7 @@ def test_join_compares_shifts_past_the_key(monkeypatch):
     # join match on part of each row and compare the rest, as from M = 24 on
     import czcp.search as search_mod
 
-    want = {m: _scan_space(m, None) for m in range(4, 17, 2)}
+    want = {m: scan_space(m, None) for m in range(4, 17, 2)}
     for key_shifts in (0, 1, 3):
         monkeypatch.setattr(search_mod, "_KEY_SHIFTS", key_shifts)
         for m, ref in want.items():
@@ -172,7 +191,7 @@ def test_shard_filter_keeps_join_encodings(monkeypatch):
 
     monkeypatch.setattr(search_mod, "_scan_block", recording)
     single = run_search(SearchSpec(m=12))
-    whole = seen.pop()
+    whole = sorted(seen.pop())
     assert whole
     for shards in (3, 7):
         specs = [SearchSpec(m=12, shards=shards, shard_index=i) for i in range(shards)]
@@ -223,7 +242,7 @@ def test_search_classes_are_checked_once():
     # run_search verifies one representative per class; that is sound only
     # because every equivalent of a survivor has its width and |mid_aacs|
     for m in (6, 12, 24, 28):
-        survivors = _scan_block(_whole_join(m), m, None)
+        survivors = scan_block(_whole_join(m), m, None)
         assert survivors.size
         for index in survivors:
             pair = _word_pair(*_decode(int(index), m), m)

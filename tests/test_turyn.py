@@ -13,7 +13,6 @@ from czcp.turyn import (
     construct_gcp,
     construct_lemma8,
     construct_theorem1,
-    normalize_gcp_for_theorem,
     turyn_compose,
 )
 from czcp.verify import classify, czcp_width, is_gcp
@@ -77,26 +76,6 @@ def test_condition_eq4_invariant_under_joint_negation(rng):
         neg = SequencePair(a.first.negate(), a.second.negate())
         for b in seeds:
             assert condition_eq4_holds(a, b) == condition_eq4_holds(neg, b)
-
-
-def test_normalize_flips_matching_leading_signs():
-    out = normalize_gcp_for_theorem(SequencePair.from_texts("+-", "++"))
-    assert out.texts() == ("+-", "--")
-
-
-def test_normalize_keeps_already_normalized():
-    assert normalize_gcp_for_theorem(GCP2) == GCP2
-
-
-def test_normalize_preserves_width():
-    for n in (2, 4, 8, 10, 16, 20):
-        pair = catalog.golay_pair(n)
-        assert czcp_width(normalize_gcp_for_theorem(pair)) == czcp_width(pair)
-
-
-def test_normalize_rejects_non_gcp():
-    with pytest.raises(ConstructionError):
-        normalize_gcp_for_theorem(catalog.seed("K6").pair)
 
 
 def test_theorem1_composed_table_row12():
