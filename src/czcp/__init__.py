@@ -2,12 +2,7 @@
 Turyn composition, catalog of known optimal pairs, and exhaustive seed search."""
 
 from . import catalog, reproduce
-from .correlation import (
-    aacf,
-    aacs_profile,
-    accf,
-    accs_profile,
-)
+from .correlation import aacs_profile, accs_profile
 from .sequences import (
     BinarySequence,
     SequenceFormatError,

@@ -1,9 +1,9 @@
 """Exact aperiodic correlation functions and per-shift sum profiles.
 
-Three routes to the same integers:
+Two routes to the same integers (np.correlate below KRONECKER_MIN_N, the
+decimal kernel from there up), tested against the definition-level oracles
+in tests/conftest.py:
 
-* accf/aacf: the definitional sums in pure integer Python, the oracle the
-  other routes are tested against;
 * below the crossover length KRONECKER_MIN_N the profile functions
   (aacs_profile, accs_profile) use np.correlate on int64 arrays, which is
   also the reference the large-N kernel is tested against;
@@ -42,27 +42,6 @@ from __future__ import annotations
 import decimal
 
 import numpy as np
-
-
-def accf(a, b, u):
-    """Aperiodic cross-correlation of equal-length sequences at shift u.
-
-    Sum of a[i]*b[i+u] over the overlap for 0 <= u <= N-1, the mirrored
-    sum for negative u, and 0 once |u| >= N.
-    """
-    if a.n != b.n:
-        raise ValueError(f"length mismatch: {a.n} vs {b.n}")
-    n = a.n
-    if abs(u) >= n:
-        return 0
-    if u >= 0:
-        return sum(a[i] * b[i + u] for i in range(n - u))
-    return sum(a[i - u] * b[i] for i in range(n + u))
-
-
-def aacf(a, u):
-    """Aperiodic autocorrelation: accf(a, a, u)."""
-    return accf(a, a, u)
 
 
 KRONECKER_MIN_N = 560  # below this length np.correlate is faster

@@ -51,7 +51,7 @@ from .sequences import BinarySequence, SequencePair
 from .verify import czcp_width, golay_factorization
 
 _LARGE_SPACE = 1 << 24  # gate for M >= 24 (2^25 candidates and up)
-_MAX_M = 40  # the join at M = 40 holds 2^21 half rows (measured 3.7 s, 174 MB peak)
+_MAX_M = 40  # the join at M = 40 holds 2^21 half rows (3.1 s, 209 MB peak on a 2-vCPU host)
 _KEY_SHIFTS = 10  # shifts packed into the join key, 6 bits each
 
 

@@ -154,10 +154,9 @@ def read_pair(source):
 def kronecker(blocks, fill):
     """Kronecker product: the left operand indexes blocks, the right fills them.
 
-    `blocks` is a BinarySequence (or +-1 array); `fill` may carry entries in
-    {-1, 0, +1} as produced by half-sum/half-difference vectors. Returns an
-    int64 array of length len(blocks) * len(fill).
+    `blocks` is a BinarySequence; `fill` may carry entries in {-1, 0, +1} as
+    produced by half-sum/half-difference vectors. Returns an int64 array of
+    length len(blocks) * len(fill).
     """
-    b = blocks.values if isinstance(blocks, BinarySequence) else np.asarray(blocks)
     x = np.asarray(fill)
-    return np.multiply.outer(b.astype(np.int64), x.astype(np.int64)).ravel()
+    return np.multiply.outer(blocks.values.astype(np.int64), x.astype(np.int64)).ravel()
