@@ -28,6 +28,12 @@ encodings that do. The join compares every shift 1..M/2-1 in full, so its
 matches are exactly the candidates with AACS zero there; _scan_block only
 applies the mid_abs filter on |AACS(M/2)|.
 
+A search is a list of join passes, one per middle class and sub-range of
+the shard. run_search joins the shard as one range; run_search_parallel cuts
+it into one contiguous sub-range per worker process, which joins its range
+for all four classes. Either way the matches come back to the calling
+process, which groups and verifies them all once.
+
 Survivors are grouped into equivalence classes on their packed sign words
 (_canonical_words), with no sequence built per survivor; each class is
 verified once, on its canonical representative, because the CZCP width and
@@ -42,7 +48,8 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -111,10 +118,13 @@ class SearchResult:
     """Canonical representatives found plus scan bookkeeping."""
 
     pairs: tuple
-    classes: int
     candidates_scanned: int
     elapsed: float
     warnings: tuple = field(default=())
+
+    @property
+    def classes(self):
+        return len(self.pairs)
 
 
 def equivalents(pair):
@@ -273,11 +283,12 @@ def _join(m, middle, lo, hi):
     return cands[(cands >= lo) & (cands < hi)]
 
 
-def run_search(spec, progress=None):
-    """Search the shard, verify survivors, and return sorted canonical classes.
+def _search(spec, progress, jobs, join_map):
+    """The search body: cut [lo, hi) into `jobs` sub-ranges, join, then verify here.
 
-    `progress` is called as progress(done, total) once per middle-sign
-    class; the last call has done == total, the shard's candidate count.
+    join_map(_join, ...) runs the passes, one per sub-range and middle class,
+    and yields their matches in pass order; the matches are filtered,
+    grouped and verified once, in this process.
     """
     warnings = []
     if golay_factorization(spec.m) is not None:
@@ -287,11 +298,13 @@ def run_search(spec, progress=None):
 
     t0 = time.monotonic()
     lo, hi = spec.shard_range
+    cuts = [lo + k * (hi - lo) // jobs for k in range(jobs + 1)]
+    passes = [(spec.m, middle, a, b) for a, b in zip(cuts, cuts[1:]) for middle in range(4)]
     found = []
-    for middle in range(4):
-        found.append(_join(spec.m, middle, lo, hi))
+    for (_, middle, a, b), cands in zip(passes, join_map(_join, *zip(*passes))):
+        found.append(cands)
         if progress is not None:
-            progress((middle + 1) * (hi - lo) // 4, hi - lo)
+            progress(a - lo + (middle + 1) * (b - a) // 4, hi - lo)
     cands = np.concatenate(found)
     survivors = _scan_block(cands, spec.m, spec.mid_abs)
     keys = {_canonical_words(*_decode(int(v), spec.m), spec.m) for v in survivors}
@@ -302,58 +315,30 @@ def run_search(spec, progress=None):
     pairs = tuple(pair for pair in reps if target >= 1 and czcp_width(pair) == target)
     return SearchResult(
         pairs=pairs,
-        classes=len(pairs),
         candidates_scanned=hi - lo,
         elapsed=time.monotonic() - t0,
         warnings=tuple(warnings),
     )
 
 
-def merge_results(results):
-    """Union of shard results with deterministic ordering."""
-    canonical = {}
-    scanned = 0
-    elapsed = 0.0
-    warnings = []
-    for res in results:
-        for pair in res.pairs:
-            canonical[pair.texts()] = pair
-        scanned += res.candidates_scanned
-        elapsed = max(elapsed, res.elapsed)
-        for w in res.warnings:
-            if w not in warnings:
-                warnings.append(w)
-    pairs = tuple(canonical[k] for k in sorted(canonical))
-    return SearchResult(
-        pairs=pairs,
-        classes=len(pairs),
-        candidates_scanned=scanned,
-        elapsed=elapsed,
-        warnings=tuple(warnings),
-    )
+def run_search(spec, progress=None):
+    """Search the shard, verify survivors, and return sorted canonical classes.
 
-
-def _run_shard(spec):
-    # the pool pickles this by name; run_search itself may be rebound to a wrapper
-    # (a tracer's, say) that cannot be pickled
-    return run_search(spec)
+    `progress` is called as progress(done, total) once per join pass (one
+    per middle-sign class); the last call has done == total, the shard's
+    candidate count.
+    """
+    return _search(spec, progress, 1, map)
 
 
 def run_search_parallel(spec, jobs, progress=None):
-    """Fan a whole-space search out over `jobs` worker processes.
+    """run_search with the shard's joins spread over `jobs` worker processes.
 
     With jobs <= 1 the search runs here via run_search(spec, progress).
-    Workers report no progress. A spec that names one shard of several is
-    refused for jobs > 1: the fan-out splits the whole space itself.
+    Otherwise each worker joins one contiguous sub-range for all four middle
+    classes, and `progress` is called once per join, as its matches arrive.
     """
     if jobs <= 1:
         return run_search(spec, progress)
-    if spec.shards > 1:
-        raise SearchSpecError(
-            f"jobs {jobs} fans out a whole-space search; shard {spec.shard_index} "
-            f"of {spec.shards} runs in one process"
-        )
-    specs = [replace(spec, shards=jobs, shard_index=i) for i in range(jobs)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_run_shard, specs))
-    return merge_results(results)
+        return _search(spec, progress, jobs, partial(pool.map, chunksize=4))

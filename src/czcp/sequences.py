@@ -29,11 +29,13 @@ class BinarySequence:
     __slots__ = ("_values",)
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=np.int8)
+        arr = np.asarray(values)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("a binary sequence needs at least one element")
-        if not np.all(np.abs(arr) == 1):
+        # checked before the int8 cast, which wraps 255 to -1 and truncates 1.5 to 1
+        if not ((arr == 1) | (arr == -1)).all():
             raise ValueError("elements must be +1 or -1")
+        arr = arr.astype(np.int8, copy=False)
         arr.flags.writeable = False
         self._values = arr
 

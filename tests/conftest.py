@@ -176,6 +176,4 @@ def brute_force_search(m, mid_abs=None):
             rep = canonicalize(pair)
             canonical[rep.texts()] = rep
     pairs = tuple(canonical[k] for k in sorted(canonical))
-    return SearchResult(
-        pairs=pairs, classes=len(pairs), candidates_scanned=scanned, elapsed=0.0
-    )
+    return SearchResult(pairs=pairs, candidates_scanned=scanned, elapsed=0.0)

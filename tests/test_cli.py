@@ -196,6 +196,23 @@ def test_search_single_shard_run(capsys):
     assert report["search"]["candidates_scanned"] == 2048
 
 
+def test_search_shard_with_jobs_matches_one_process(capsys, monkeypatch):
+    # --jobs splits the named shard's joins; only the elapsed time may differ
+    import czcp.cli as cli
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    reports = []
+    for jobs in ("1", "2"):
+        code, report = run_json(
+            capsys, "search", "--length", "12", "--shards", "4", "--shard", "1",
+            "--jobs", jobs,
+        )
+        assert code == 0
+        del report["search"]["elapsed_s"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1, 10**9])
 def test_search_jobs_outside_cpu_count_refused(capsys, monkeypatch, jobs):
     import czcp.search as search_mod
@@ -391,11 +408,6 @@ _REFUSALS = [
         ["search", "--length", "12", "--shards", "4"],
         "bad_search",
         "--shards 4 runs one shard; name it with --shard 0..3",
-    ),
-    (
-        ["search", "--length", "12", "--shards", "4", "--shard", "1", "--jobs", "2"],
-        "bad_search",
-        "jobs 2 fans out a whole-space search; shard 1 of 4 runs in one process",
     ),
     (
         ["search", "--length", "6", "--jobs", "0"],

@@ -14,8 +14,8 @@ from czcp.search import (
     _word_to_sequence,
     canonicalize,
     equivalents,
-    merge_results,
     run_search,
+    run_search_parallel,
 )
 from czcp.sequences import SequencePair
 from czcp.verify import classify, czcp_width, lemma5_structure_holds
@@ -200,7 +200,8 @@ def test_shard_filter_keeps_join_encodings(monkeypatch):
             lo, hi = spec.shard_range
             assert all(lo <= v < hi for v in cands)
         assert sorted(v for cands in seen for v in cands) == whole
-        assert merge_results(parts).pairs == single.pairs
+        union = {p.texts() for part in parts for p in part.pairs}
+        assert sorted(union) == [p.texts() for p in single.pairs]
         seen.clear()
 
 
@@ -306,21 +307,6 @@ def test_search_spectrum_of_results():
             assert all(v == 0 for v in rest)
 
 
-def test_shard_determinism():
-    for m in (6, 12):
-        single = run_search(SearchSpec(m=m, mid_abs=2))
-        for shards in (2, 4, 8):
-            parts = [
-                run_search(SearchSpec(m=m, mid_abs=2, shards=shards, shard_index=i))
-                for i in range(shards)
-            ]
-            merged = merge_results(parts)
-            assert [p.texts() for p in merged.pairs] == [
-                p.texts() for p in single.pairs
-            ]
-            assert merged.candidates_scanned == single.candidates_scanned
-
-
 def test_search_without_mid_filter_superset():
     filtered = run_search(SearchSpec(m=6, mid_abs=2))
     unfiltered = run_search(SearchSpec(m=6))
@@ -351,15 +337,20 @@ def test_length_limit():
 
 
 def test_progress_callback():
-    # one call per middle-sign class, nondecreasing, ending at the shard's count
-    for spec in (SearchSpec(m=12, mid_abs=2), SearchSpec(m=12, shards=3, shard_index=1)):
-        lo, hi = spec.shard_range
-        calls = []
-        run_search(spec, progress=lambda done, total: calls.append((done, total)))
-        assert len(calls) == 4
-        assert all(total == hi - lo for _, total in calls)
-        done = [d for d, _ in calls]
-        assert done == sorted(done) and done[-1] == hi - lo
+    # one call per join pass, nondecreasing, ending at the shard's count: the
+    # 4 middle classes in one process, 4 per sub-range under run_search_parallel
+    for search, passes in (
+        (run_search, 4),
+        (lambda spec, progress: run_search_parallel(spec, 2, progress), 8),
+    ):
+        for spec in (SearchSpec(m=12, mid_abs=2), SearchSpec(m=12, shards=3, shard_index=1)):
+            lo, hi = spec.shard_range
+            calls = []
+            search(spec, lambda done, total: calls.append((done, total)))
+            assert len(calls) == passes
+            assert all(total == hi - lo for _, total in calls)
+            done = [d for d, _ in calls]
+            assert done == sorted(done) and done[-1] == hi - lo
 
 
 def test_seed_class_counts_stable():
@@ -369,9 +360,8 @@ def test_seed_class_counts_stable():
 
 
 def test_parallel_fanout_matches_single():
-    from czcp.search import run_search_parallel
-
-    single = run_search(SearchSpec(m=12, mid_abs=2))
-    fanned = run_search_parallel(SearchSpec(m=12, mid_abs=2), jobs=2)
-    assert [p.texts() for p in fanned.pairs] == [p.texts() for p in single.pairs]
-    assert fanned.candidates_scanned == single.candidates_scanned
+    for spec in (SearchSpec(m=12, mid_abs=2), SearchSpec(m=12, shards=3, shard_index=1)):
+        single = run_search(spec)
+        fanned = run_search_parallel(spec, jobs=2)
+        assert [p.texts() for p in fanned.pairs] == [p.texts() for p in single.pairs]
+        assert fanned.candidates_scanned == single.candidates_scanned

@@ -56,6 +56,17 @@ def test_elements_validated():
         BinarySequence([])
 
 
+@pytest.mark.parametrize(
+    "values",
+    [np.array([255, 1]), np.array([257, -1]), [1.5, -1], [0, 1]],
+    ids=["255", "257", "1.5", "0"],
+)
+def test_elements_checked_before_the_int8_cast(values):
+    # int8 wraps 255 to -1 and 257 to 1, and truncates 1.5 to 1
+    with pytest.raises(ValueError, match=r"elements must be \+1 or -1"):
+        BinarySequence(values)
+
+
 def test_reverse():
     assert str(parse_sequence("+--").reverse()) == "--+"
 
