@@ -349,7 +349,8 @@ def build_parser():
         "--mid-abs",
         type=int,
         default=None,
-        help="keep only pairs with |AACS(M/2)| equal to this (2 for seeds)",
+        help="keep only pairs with |AACS(M/2)| equal to this (2 for seeds); "
+        "only 0, 2 and 4 can occur",
     )
     p.add_argument("--shards", type=int, default=1)
     p.add_argument(

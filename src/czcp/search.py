@@ -19,20 +19,37 @@ lists the sign words of each half (about 2^(M/2) each), computes their half
 sums at shifts 1..M/2-1, and matches equal rows, in about 2^(M/2+2) row
 operations instead of 2^(M+1) candidate tests.
 
+The middle class decides |AACS(M/2)|. Let x = c_(M/2-1) - d_(M/2-1) and
+y = c_(M/2) + d_(M/2). For M >= 4 the mirrored terms of AACS(M/2) cancel
+and AACS(M/2) = y + c_(M-1)*x, so class 0 (both middle positions in P+)
+gives |AACS(M/2)| = 2, class 3 (both in P-) gives 2, class 2 gives 0 and
+class 1 gives 0 or 4. At M = 2 the middle positions are the whole
+sequence and AACS(1) = c0 c1 + d0 d1 is 2 in classes 0 and 3 and 0 in
+classes 1 and 2. Reversing both members and negating d maps class 0's
+candidates one to one onto class 3's, and that map is an equivalence, so
+the two classes hold the same canonical classes. The search therefore
+joins only the classes that can reach mid_abs (_MIDDLES): class 0 for 2,
+class 1 for 4, classes 1 and 2 for 0, classes 0, 1 and 2 when mid_abs is
+unset, and none for any other value. Class 3 is never joined.
+
 Candidates are encoded as integers (c's sign bits shifted left twice, plus
 two bits choosing the middle signs); shards are contiguous ranges of that
-integer, so any shard partition yields the same space deterministically.
-The high bits of an encoding are the P- half's word, so each shard joins
-only the P- words whose encodings can land in its range and keeps the
-encodings that do. The join compares every shift 1..M/2-1 in full, so its
-matches are exactly the candidates with AACS zero there; _scan_block only
-applies the mid_abs filter on |AACS(M/2)|.
+integer. The high bits of an encoding are the P- half's word, so each shard
+joins only the P- words whose encodings can land in its range and keeps the
+encodings that do. The union of the shards' classes is the unsharded
+result, but one shard's classes can differ from what its range holds: a
+class that reaches the shard only through class 3 is found by the shard
+whose range holds its class 0 reflection. The join compares every shift
+1..M/2-1 in full, so its matches are exactly the candidates of the joined
+classes with AACS zero there; _scan_block keeps those whose |AACS(M/2)| is
+mid_abs, which only class 1 can miss.
 
-A search is a list of join passes, one per middle class and sub-range of
-the shard. run_search joins the shard as one range; run_search_parallel cuts
-it into one contiguous sub-range per worker process, which joins its range
-for all four classes. Either way the matches come back to the calling
-process, which groups and verifies them all once.
+A search is a list of join passes, one per joined middle class and
+sub-range of the shard. run_search joins the shard as one range;
+run_search_parallel cuts it into one contiguous sub-range per worker
+process and hands the passes to the workers one at a time. Either way the
+matches come back to the calling process, which groups and verifies them
+all once.
 
 Survivors are grouped into equivalence classes on their packed sign words
 (_canonical_words), with no sequence built per survivor; each class is
@@ -49,7 +66,6 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -58,8 +74,11 @@ from .sequences import BinarySequence, SequencePair
 from .verify import czcp_width, golay_factorization
 
 _LARGE_SPACE = 1 << 24  # gate for M >= 24 (2^25 candidates and up)
-_MAX_M = 40  # the join at M = 40 holds 2^21 half rows (3.1 s, 209 MB peak on a 2-vCPU host)
+_MAX_M = 40  # the joins at M = 40 hold 2^21 half rows (1.1 s, 137 MB peak unfiltered, 2-vCPU host)
 _KEY_SHIFTS = 10  # shifts packed into the join key, 6 bits each
+# mid_abs -> the middle classes whose joins hold every class with that
+# |AACS(M/2)| (module docstring); any other value has no candidate
+_MIDDLES = {None: (0, 1, 2), 0: (1, 2), 2: (0,), 4: (1,)}
 
 
 class SearchSpecError(ValueError):
@@ -201,7 +220,9 @@ def _check_shifts(m):
 def _scan_block(indexes, m, mid_abs):
     """The encodings in `indexes` whose |AACS(M/2)| is mid_abs; all of them if mid_abs is None.
 
-    The name is a lookup site perfbench/tracer.py wraps to count survivors.
+    On the joins _MIDDLES picks it drops only class 1 matches of the other
+    value. The name is a lookup site perfbench/tracer.py wraps to count
+    survivors.
     """
     if mid_abs is None:
         return indexes
@@ -286,9 +307,9 @@ def _join(m, middle, lo, hi):
 def _search(spec, progress, jobs, join_map):
     """The search body: cut [lo, hi) into `jobs` sub-ranges, join, then verify here.
 
-    join_map(_join, ...) runs the passes, one per sub-range and middle class,
-    and yields their matches in pass order; the matches are filtered,
-    grouped and verified once, in this process.
+    join_map(_join, ...) runs the passes, one per sub-range and middle class
+    in _MIDDLES[mid_abs], and yields their matches in pass order; the
+    matches are filtered, grouped and verified once, in this process.
     """
     warnings = []
     if golay_factorization(spec.m) is not None:
@@ -299,12 +320,16 @@ def _search(spec, progress, jobs, join_map):
     t0 = time.monotonic()
     lo, hi = spec.shard_range
     cuts = [lo + k * (hi - lo) // jobs for k in range(jobs + 1)]
-    passes = [(spec.m, middle, a, b) for a, b in zip(cuts, cuts[1:]) for middle in range(4)]
-    found = []
-    for (_, middle, a, b), cands in zip(passes, join_map(_join, *zip(*passes))):
-        found.append(cands)
-        if progress is not None:
-            progress(a - lo + (middle + 1) * (b - a) // 4, hi - lo)
+    middles = _MIDDLES.get(spec.mid_abs, ())
+    passes = [(spec.m, middle, a, b) for a, b in zip(cuts, cuts[1:]) for middle in middles]
+    found = [np.zeros(0, dtype=np.uint64)]  # np.concatenate needs one array
+    if passes:
+        for k, cands in enumerate(join_map(_join, *zip(*passes)), 1):
+            found.append(cands)
+            if progress is not None:
+                progress(k * (hi - lo) // len(passes), hi - lo)
+    elif progress is not None:
+        progress(hi - lo, hi - lo)
     cands = np.concatenate(found)
     survivors = _scan_block(cands, spec.m, spec.mid_abs)
     keys = {_canonical_words(*_decode(int(v), spec.m), spec.m) for v in survivors}
@@ -325,8 +350,8 @@ def run_search(spec, progress=None):
     """Search the shard, verify survivors, and return sorted canonical classes.
 
     `progress` is called as progress(done, total) once per join pass (one
-    per middle-sign class); the last call has done == total, the shard's
-    candidate count.
+    per middle-sign class that mid_abs can reach), or once if no class can;
+    the last call has done == total, the shard's candidate count.
     """
     return _search(spec, progress, 1, map)
 
@@ -335,10 +360,12 @@ def run_search_parallel(spec, jobs, progress=None):
     """run_search with the shard's joins spread over `jobs` worker processes.
 
     With jobs <= 1 the search runs here via run_search(spec, progress).
-    Otherwise each worker joins one contiguous sub-range for all four middle
-    classes, and `progress` is called once per join, as its matches arrive.
+    Otherwise the passes (one per contiguous sub-range and joined middle
+    class) go to the workers one at a time, so each worker joins while
+    another does, and `progress` is called once per pass, as its matches
+    arrive.
     """
     if jobs <= 1:
         return run_search(spec, progress)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return _search(spec, progress, jobs, partial(pool.map, chunksize=4))
+        return _search(spec, progress, jobs, pool.map)  # chunksize 1: one pass per hand-out

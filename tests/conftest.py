@@ -97,6 +97,16 @@ def ref_seed_shape(pair, mid_abs=None):
     return True
 
 
+def word_aacs(x, y, m, u):
+    """AACS(u) of the pairs with uint64 sign words (x, y), by popcounts of w ^ (w >> u)."""
+    overlap = np.uint64((1 << (m - u)) - 1)
+    pc = sum(
+        np.bitwise_count((w ^ (w >> np.uint64(u))) & overlap).astype(np.int64)
+        for w in (x, y)
+    )
+    return 2 * (m - u) - 2 * pc
+
+
 def scan_block(indexes, m, mid_abs):
     """Encodings in the uint64 array `indexes` whose pairs have the seed shape.
 
@@ -109,12 +119,7 @@ def scan_block(indexes, m, mid_abs):
     x, y = _decode(indexes, m)
     keep = indexes
     for u in range(1, m // 2 + 1):
-        overlap = np.uint64((1 << (m - u)) - 1)
-        pc = sum(
-            np.bitwise_count((w ^ (w >> np.uint64(u))) & overlap).astype(np.int64)
-            for w in (x, y)
-        )
-        aacs = 2 * (m - u) - 2 * pc
+        aacs = word_aacs(x, y, m, u)
         if u < m // 2:
             ok = aacs == 0
         elif mid_abs is not None:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from czcp import catalog
 from czcp.correlation import aacs_profile
 from czcp.search import (
+    _MIDDLES,
     SearchSpec,
     _canonical_words,
     _decode,
@@ -27,6 +28,7 @@ from conftest import (
     ref_seed_shape,
     scan_block,
     scan_space,
+    word_aacs,
 )
 
 
@@ -135,6 +137,35 @@ def _whole_join(m):
     return np.sort(np.concatenate([_join(m, middle, 0, space) for middle in range(4)]))
 
 
+def _sign(word, j):
+    return 1 - 2 * ((word >> np.uint64(j)) & np.uint64(1)).astype(np.int64)
+
+
+def test_middle_class_decides_mid_aacs():
+    # |AACS(M/2)| = |y + c_(M-1) x|, x = c_(M/2-1) - d_(M/2-1), y = c_(M/2) + d_(M/2),
+    # so each middle class reaches fixed values; at M = 2 position M/2-1 is
+    # c0, the two terms are one, and class 1 gives only 0
+    reached = {middle: set() for middle in range(4)}
+    for m in range(2, 17, 2):
+        h = m // 2
+        index = np.arange(SearchSpec(m=m).space, dtype=np.uint64)
+        x, y = _decode(index, m)
+        mid = np.abs(word_aacs(x, y, m, h))
+        if m >= 4:
+            xs = _sign(x, h - 1) - _sign(y, h - 1)
+            ys = _sign(x, h) + _sign(y, h)
+            assert np.array_equal(mid, np.abs(ys + _sign(x, m - 1) * xs)), m
+        seen = {k: set(mid[index % 4 == k].tolist()) for k in range(4)}
+        assert seen == {0: {2}, 1: {0, 4} if m >= 4 else {0}, 2: {0}, 3: {2}}, m
+        for k in range(4):
+            reached[k] |= seen[k]
+    # the search joins every class that reaches mid_abs but class 3, class 0's reflection
+    values = set().union(*reached.values())
+    assert _MIDDLES == {None: (0, 1, 2)} | {
+        v: tuple(k for k in range(3) if v in reached[k]) for v in values
+    }
+
+
 def test_decode_arrays_match_scalar_decode():
     for m in range(2, 13, 2):
         space = SearchSpec(m=m).space
@@ -239,6 +270,34 @@ def test_shard_sliced_joins_partition_the_whole_join(monkeypatch):
             sizes.clear()
 
 
+@pytest.fixture(scope="module")
+def whole_joins():
+    return {m: _whole_join(m) for m in range(2, 29, 2)}
+
+
+def _four_class_search(joined, m, mid_abs):
+    """run_search's classes from all four middle classes' joins, filtered afterwards."""
+    keys = {_canonical_words(*_decode(int(v), m), m) for v in _scan_block(joined, m, mid_abs)}
+    reps = [_key_pair(key, m) for key in sorted(keys)]
+    return [p.texts() for p in reps if m >= 4 and czcp_width(p) == m // 2 - 1]
+
+
+@pytest.mark.parametrize("mid_abs", [None, 0, 1, 2, 4, 6])
+def test_search_matches_four_class_reference(whole_joins, mid_abs):
+    # joining only the classes mid_abs can reach loses no class; under
+    # shards only the union is exact, as class 3 is found via class 0
+    for m, joined in whole_joins.items():
+        want = _four_class_search(joined, m, mid_abs)
+        spec = SearchSpec(m=m, mid_abs=mid_abs, allow_large=True)
+        assert [p.texts() for p in run_search(spec).pairs] == want, m
+        assert [p.texts() for p in run_search_parallel(spec, 2).pairs] == want, m
+        shards = [
+            run_search(SearchSpec(m=m, mid_abs=mid_abs, shards=3, shard_index=i, allow_large=True))
+            for i in range(3)
+        ]
+        assert sorted({p.texts() for part in shards for p in part.pairs}) == want, m
+
+
 def test_search_classes_are_checked_once():
     # run_search verifies one representative per class; that is sound only
     # because every equivalent of a survivor has its width and |mid_aacs|
@@ -337,17 +396,19 @@ def test_length_limit():
 
 
 def test_progress_callback():
-    # one call per join pass, nondecreasing, ending at the shard's count: the
-    # 4 middle classes in one process, 4 per sub-range under run_search_parallel
-    for search, passes in (
-        (run_search, 4),
-        (lambda spec, progress: run_search_parallel(spec, 2, progress), 8),
-    ):
-        for spec in (SearchSpec(m=12, mid_abs=2), SearchSpec(m=12, shards=3, shard_index=1)):
+    # one call per join pass, nondecreasing, ending at the shard's count: one
+    # per joined middle class in one process, that many per sub-range under
+    # run_search_parallel, and one call when mid_abs leaves no class to join
+    for jobs in (1, 2):
+        for spec, classes in (
+            (SearchSpec(m=12, mid_abs=2), 1),
+            (SearchSpec(m=12, shards=3, shard_index=1), 3),
+            (SearchSpec(m=12, mid_abs=6), 0),
+        ):
             lo, hi = spec.shard_range
             calls = []
-            search(spec, lambda done, total: calls.append((done, total)))
-            assert len(calls) == passes
+            run_search_parallel(spec, jobs, lambda done, total: calls.append((done, total)))
+            assert len(calls) == max(jobs * classes, 1)
             assert all(total == hi - lo for _, total in calls)
             done = [d for d, _ in calls]
             assert done == sorted(done) and done[-1] == hi - lo
