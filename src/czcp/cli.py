@@ -2,8 +2,10 @@
 
 Exit codes: 0 success (for verify: the pair is a CZCP; for reproduce: all
 checks match), 1 negative result (not a CZCP / reproduction mismatch),
-2 input or precondition error. With --json every command emits a single
-report object conforming to report.schema.json; progress goes to stderr.
+2 input or precondition error, 141 (128 + SIGPIPE) when the reader closes
+stdout before the output ends (`| head`), with nothing on stderr. With
+--json every command emits a single report object conforming to
+report.schema.json; progress goes to stderr.
 
 Error codes: bad_args (a usage error under --json, any command); verify:
 bad_input; construct: bad_input, not_gcp, gcp_zone_zero, seed_odd_length,
@@ -399,6 +401,19 @@ def main(argv=None):
         if _asks_for_json(parser, argv):
             return _fail(argparse.Namespace(cmd=argv[0], json=True), "bad_args", str(exc))
         argparse.ArgumentParser.error(exc.parser, str(exc))  # usage text, exit 2
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader is gone: send what is still buffered to devnull, so
+        # the flush at exit raises nothing. SIGPIPE keeps Python's handler,
+        # since the --jobs pool talks to its workers over pipes.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
+
+
+def _run(args):
     try:
         return args.func(args)
     except (KeyError, ValueError) as exc:

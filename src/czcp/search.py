@@ -1,11 +1,13 @@
 """Exhaustive structure-pruned search for optimal seed CZCPs.
 
-The candidate space for target length M fixes c0 = d0 = +1 (negation
+The candidate space for target length M fixes c0 = +1 (negation
 equivalence), forces d to mirror c on indices 0..M/2-2 and to mirror -c on
 indices M/2+1..M-1 (the half-sequence structure any width-(M/2-1) CZCP must
 have), and leaves d's two middle entries free: 2^(M-1) choices of c times 4
-middle-sign combinations. The tail cross-correlation condition holds for
-every candidate by construction, so only the autocorrelation sums decide.
+middle-sign combinations. So d0 = +1 for M >= 4; at M = 2 position 0 is a
+middle position and d0 takes both signs. The tail cross-correlation
+condition holds for every candidate by construction, so only the
+autocorrelation sums decide.
 
 With s_i = c_i d_i, AACS(u) = 2 (A+(u) + A-(u)), where A+/A- sums
 c_i c_(i+u) over the pairs that lie inside P+ = {i : s_i = +1} or inside
@@ -27,10 +29,16 @@ class 1 gives 0 or 4. At M = 2 the middle positions are the whole
 sequence and AACS(1) = c0 c1 + d0 d1 is 2 in classes 0 and 3 and 0 in
 classes 1 and 2. Reversing both members and negating d maps class 0's
 candidates one to one onto class 3's, and that map is an equivalence, so
-the two classes hold the same canonical classes. The search therefore
-joins only the classes that can reach mid_abs (_MIDDLES): class 0 for 2,
-class 1 for 4, classes 1 and 2 for 0, classes 0, 1 and 2 when mid_abs is
-unset, and none for any other value. Class 3 is never joined.
+the two classes hold the same canonical classes. Class 2 puts M/2-1 in
+P+ and M/2 in P-, so d = (L, -R) for c = (L, R), L and R the halves of c.
+At a shift u >= M/2 every term pairs an index i < M/2 with i+u >= M/2, so
+d_i d_(i+u) = -c_i c_(i+u) and d_i c_(i+u) = -c_i d_(i+u): AACS(u) and
+ACCS(u) vanish from M/2 on. A class 2 join match, with AACS zero at
+1..M/2-1 as well, is a perfect pair of width M/2, never an optimal
+(M, M/2-1) one, so the width check would drop every class it holds. The
+search therefore joins only those of classes 0 and 1 that can reach mid_abs
+(_MIDDLES): class 0 for 2, class 1 for 4 and for 0, both when mid_abs is
+unset, and none for any other value. Classes 2 and 3 are never joined.
 
 Candidates are encoded as integers (c's sign bits shifted left twice, plus
 two bits choosing the middle signs); shards are contiguous ranges of that
@@ -74,11 +82,11 @@ from .sequences import BinarySequence, SequencePair
 from .verify import czcp_width, golay_factorization
 
 _LARGE_SPACE = 1 << 24  # gate for M >= 24 (2^25 candidates and up)
-_MAX_M = 40  # the joins at M = 40 hold 2^21 half rows (1.1 s, 137 MB peak unfiltered, 2-vCPU host)
+_MAX_M = 40  # the joins at M = 40 hold 2^21 half rows (0.74 s, 133 MB peak unfiltered, 2-vCPU host)
 _KEY_SHIFTS = 10  # shifts packed into the join key, 6 bits each
-# mid_abs -> the middle classes whose joins hold every class with that
-# |AACS(M/2)| (module docstring); any other value has no candidate
-_MIDDLES = {None: (0, 1, 2), 0: (1, 2), 2: (0,), 4: (1,)}
+# mid_abs -> the middle classes whose joins hold every optimal class with
+# that |AACS(M/2)| (module docstring); any other value has no candidate
+_MIDDLES = {None: (0, 1), 0: (1,), 2: (0,), 4: (1,)}
 
 
 class SearchSpecError(ValueError):

@@ -573,11 +573,18 @@ def _readme_cli_lines():
 
 
 @pytest.mark.parametrize("argv", _readme_cli_lines(), ids=" ".join)
-def test_readme_cli_examples_run(argv):
-    if any(a in ("-", "<") or a.endswith(".txt") for a in argv):
-        pytest.skip("reads a pair file or stdin")
+def test_readme_cli_examples_run(argv, tmp_path, monkeypatch):
     if "--jobs" in argv and int(argv[argv.index("--jobs") + 1]) > (os.cpu_count() or 1):
         pytest.skip("more --jobs than this host has CPUs")
+    # the files the examples name, in the directory they run in
+    write_pair(tmp_path, catalog.seed("K6").pair, "pair.txt")
+    write_pair(tmp_path, catalog.seed("K6").pair, "my_seed.txt")
+    write_pair(tmp_path, catalog.get("GCP10").pair, "my_gcp.txt")
+    monkeypatch.chdir(tmp_path)
+    if "<" in argv:  # `< FILE` feeds FILE to stdin
+        at = argv.index("<")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(Path(argv[at + 1]).read_text()))
+        argv = argv[:at] + argv[at + 2 :]
     assert main(argv[1:]) == 0
 
 
@@ -589,6 +596,24 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "optimal:     yes" in proc.stdout
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_closed_stdout_exits_141_quietly(tmp_path, fmt):
+    # a length-29120 composite outgrows the pipe buffer, so the writer is
+    # still writing when the reader (`| head -1`) goes away
+    gcp = write_pair(tmp_path, catalog.golay_pair(1040), "g.txt")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "czcp.cli", "construct", "--gcp", gcp, "--seed", "K28", *fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.read(40)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 141
+    assert err == ""  # no traceback, and nothing else either
 
 
 # --- fuzzing verify and construct ---------------------------------------------

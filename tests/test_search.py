@@ -112,6 +112,8 @@ def test_candidates_satisfy_half_structure():
         for pair in cands:
             assert pair.first[0] == pair.second[0] == 1
             assert lemma5_structure_holds(pair, m // 2 - 1)
+    # at M = 2 position 0 is a middle position: classes 1 and 3 flip d0
+    assert [p.second[0] for p in _candidates(SearchSpec(m=2))] == [1, -1, 1, -1] * 2
 
 
 def test_candidate_shards_partition_space():
@@ -159,11 +161,26 @@ def test_middle_class_decides_mid_aacs():
         assert seen == {0: {2}, 1: {0, 4} if m >= 4 else {0}, 2: {0}, 3: {2}}, m
         for k in range(4):
             reached[k] |= seen[k]
-    # the search joins every class that reaches mid_abs but class 3, class 0's reflection
+    # the search joins every class that reaches mid_abs but class 3, class 0's
+    # reflection, and class 2, whose matches are all perfect (next test)
     values = set().union(*reached.values())
-    assert _MIDDLES == {None: (0, 1, 2)} | {
-        v: tuple(k for k in range(3) if v in reached[k]) for v in values
+    assert _MIDDLES == {None: (0, 1)} | {
+        v: tuple(k for k in (0, 1) if v in reached[k]) for v in values
     }
+
+
+def test_class2_matches_are_perfect():
+    # class 2 has d = (L, -R) for c = (L, R), so AACS and ACCS vanish from
+    # shift M/2 on and a join match is a perfect pair of width M/2, which the
+    # search's width check (M/2-1) would drop
+    sizes = {}
+    for m in range(4, 33, 2):
+        joined = _join(m, 2, 0, SearchSpec(m=m, allow_large=True).space)
+        sizes[m] = joined.size
+        for v in joined:
+            verdict = classify(_word_pair(*_decode(int(v), m), m))
+            assert verdict.is_perfect and verdict.czcp_width == m // 2, (m, int(v))
+    assert {m: n for m, n in sizes.items() if n} == {4: 4, 8: 16, 16: 96, 20: 64, 32: 768}
 
 
 def test_decode_arrays_match_scalar_decode():
@@ -402,7 +419,8 @@ def test_progress_callback():
     for jobs in (1, 2):
         for spec, classes in (
             (SearchSpec(m=12, mid_abs=2), 1),
-            (SearchSpec(m=12, shards=3, shard_index=1), 3),
+            (SearchSpec(m=12, shards=3, shard_index=1), 2),
+            (SearchSpec(m=12, mid_abs=0), 1),
             (SearchSpec(m=12, mid_abs=6), 0),
         ):
             lo, hi = spec.shard_range
