@@ -59,6 +59,16 @@ process and hands the passes to the workers one at a time. Either way the
 matches come back to the calling process, which groups and verifies them
 all once.
 
+The worker processes outlive the call: the first run_search_parallel call
+with a given `jobs` starts a pool of that many workers, later calls with
+the same `jobs` reuse it, and a call with another `jobs` shuts it down and
+starts a new one. So a loop of parallel searches pays pool start-up once.
+concurrent.futures shuts the pool down at interpreter exit; each worker
+also exits on its own when the process that started it dies, so a killed
+parent leaves none running. Workers see this module's state as it was when
+the pool started (forked, Linux's default start method) or as a fresh
+import gives it (spawned), never a change the caller made later.
+
 Survivors are grouped into equivalence classes on their packed sign words
 (_canonical_words), with no sequence built per survivor; each class is
 verified once, on its canonical representative, because the CZCP width and
@@ -71,8 +81,12 @@ above 40 are refused outright: the join's memory grows about 4x per +4.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -87,6 +101,10 @@ _KEY_SHIFTS = 10  # shifts packed into the join key, 6 bits each
 # mid_abs -> the middle classes whose joins hold every optimal class with
 # that |AACS(M/2)| (module docstring); any other value has no candidate
 _MIDDLES = {None: (0, 1), 0: (1,), 2: (0,), 4: (1,)}
+# run_search_parallel's kept worker pool, (jobs, executor) or None; read and
+# replaced only under _pool_lock
+_pool = None
+_pool_lock = threading.Lock()
 
 
 class SearchSpecError(ValueError):
@@ -364,6 +382,27 @@ def run_search(spec, progress=None):
     return _search(spec, progress, 1, map)
 
 
+def _exit_with_parent():
+    multiprocessing.parent_process().join()
+    os._exit(1)
+
+
+def _watch_parent():
+    """Worker initializer: end this worker when the process that started it dies."""
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
+
+
+def _worker_pool(jobs):
+    """The kept pool of `jobs` workers, started or replaced as needed; hold _pool_lock."""
+    global _pool
+    if _pool is not None and _pool[0] != jobs:
+        old, _pool = _pool[1], None
+        old.shutdown()
+    if _pool is None:
+        _pool = (jobs, ProcessPoolExecutor(max_workers=jobs, initializer=_watch_parent))
+    return _pool[1]
+
+
 def run_search_parallel(spec, jobs, progress=None):
     """run_search with the shard's joins spread over `jobs` worker processes.
 
@@ -372,8 +411,20 @@ def run_search_parallel(spec, jobs, progress=None):
     class) go to the workers one at a time, so each worker joins while
     another does, and `progress` is called once per pass, as its matches
     arrive.
+
+    The workers are kept for the next call (module docstring): the first
+    call starts them, a call with another `jobs` replaces them, and calls
+    from several threads take turns. A call that finds a worker dead raises
+    BrokenProcessPool and drops the pool, so the next call starts a new one.
     """
+    global _pool
     if jobs <= 1:
         return run_search(spec, progress)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return _search(spec, progress, jobs, pool.map)  # chunksize 1: one pass per hand-out
+    with _pool_lock:
+        pool = _worker_pool(jobs)
+        try:
+            return _search(spec, progress, jobs, pool.map)  # chunksize 1: one pass per hand-out
+        except BrokenProcessPool:
+            _pool = None
+            pool.shutdown()
+            raise

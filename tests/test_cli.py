@@ -220,7 +220,9 @@ def test_search_jobs_outside_cpu_count_refused(capsys, monkeypatch, jobs):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
+    # a pool kept from an earlier call is reached only through _worker_pool
     monkeypatch.setattr(search_mod, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(search_mod, "_worker_pool", no_pool)
     code, out, err = run_cli(capsys, "search", "--length", "6", "--jobs", str(jobs), "--json")
     assert code == 2
     assert "Traceback" not in err

@@ -1,3 +1,11 @@
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -444,3 +452,176 @@ def test_parallel_fanout_matches_single():
         fanned = run_search_parallel(spec, jobs=2)
         assert [p.texts() for p in fanned.pairs] == [p.texts() for p in single.pairs]
         assert fanned.candidates_scanned == single.candidates_scanned
+
+
+# --- the kept worker pool -------------------------------------------------------
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+
+
+def _workers():
+    """PIDs of this process's live child processes: the kept pool's workers."""
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _running(pid):
+    """Whether process `pid` exists and has not exited (a zombie has)."""
+    # the state letter is the first field after the ")" that ends the name
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _still_running(pids, timeout=5.0):
+    """The PIDs in `pids` still running once they all stopped or `timeout` seconds passed."""
+    deadline = time.monotonic() + timeout
+    while (alive := {p for p in pids if _running(p)}) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return alive
+
+
+def _texts(result):
+    return [p.texts() for p in result.pairs]
+
+
+def test_kept_pool_serves_every_call():
+    # back-to-back calls give run_search's results, all from the same two workers
+    pids = None
+    for m in range(2, 21, 2):
+        for mid_abs in (None, 0, 2, 4):
+            for shards, index in ((1, 0), (3, 1)):
+                spec = SearchSpec(m=m, mid_abs=mid_abs, shards=shards, shard_index=index)
+                want, got = run_search(spec), run_search_parallel(spec, 2)
+                assert _texts(got) == _texts(want), spec
+                assert got.candidates_scanned == want.candidates_scanned, spec
+                pids = pids or _workers()
+                assert len(pids) == 2 and _workers() == pids, spec
+
+
+@needs_proc
+def test_other_jobs_replaces_the_pool():
+    spec = SearchSpec(m=12, mid_abs=2)
+    want = _texts(run_search(spec))
+    pools = []
+    for jobs in (2, 3, 2):
+        assert _texts(run_search_parallel(spec, jobs)) == want, jobs
+        pools.append(_workers())
+        assert len(pools[-1]) == jobs
+    assert not pools[0] & pools[1] and not pools[1] & pools[2]
+    assert not _still_running(pools[0] | pools[1])
+
+
+@needs_proc
+def test_dead_worker_breaks_one_call():
+    # the call that finds the pool broken raises; the next one starts a new pool
+    spec = SearchSpec(m=12, mid_abs=2)
+    want = _texts(run_search(spec))
+    run_search_parallel(spec, 2)
+    pids = _workers()
+    os.kill(min(pids), signal.SIGKILL)
+    # the pool stops its other workers once it sees one die; until then a
+    # call may still finish on the survivors
+    assert not _still_running(pids)
+    with pytest.raises(BrokenProcessPool):
+        run_search_parallel(spec, 2)
+    assert _texts(run_search_parallel(spec, 2)) == want
+    assert not _workers() & pids
+
+
+_SRC = os.path.dirname(os.path.dirname(catalog.__file__))
+
+# each script writes its worker PIDs to the file named by argv[1]
+_WRITE_PIDS = (
+    "import multiprocessing, sys\n"
+    "def write_pids():\n"
+    "    with open(sys.argv[1], 'w') as fh:\n"
+    "        print(*(p.pid for p in multiprocessing.active_children()), file=fh)\n"
+)
+
+
+def _start(tmp_path, script, stdout):
+    """Run `script` in a fresh interpreter; returns (process, PID file, stderr file)."""
+    pid_file, err_file = tmp_path / "pids", tmp_path / "err"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
+    with open(err_file, "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _WRITE_PIDS + script, str(pid_file)],
+            stdout=stdout, stderr=err, env=env,
+        )
+    return proc, pid_file, err_file
+
+
+def _read_pids(proc, pid_file, err_file, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while not (pid_file.exists() and pid_file.read_text().endswith("\n")):
+        assert proc.poll() is None or pid_file.exists(), err_file.read_text()
+        assert time.monotonic() < deadline, "no PID line"
+        time.sleep(0.05)
+    return {int(pid) for pid in pid_file.read_text().split()}
+
+
+def _kill_all(proc, pids):
+    proc.kill()
+    proc.wait(10)
+    for pid in pids:
+        if _running(pid):
+            os.kill(pid, signal.SIGKILL)
+
+
+@needs_proc
+def test_workers_exit_when_parent_is_killed(tmp_path):
+    script = (
+        "import time\n"
+        "from czcp.search import SearchSpec, run_search_parallel\n"
+        "run_search_parallel(SearchSpec(m=12, mid_abs=2), 2)\n"
+        "write_pids()\n"
+        "time.sleep(60)\n"
+    )
+    # stdout goes to a file: workers left holding a pipe would hang its reader
+    with open(tmp_path / "out", "w") as out:
+        proc, pid_file, err_file = _start(tmp_path, script, out)
+    pids = set()
+    try:
+        pids = _read_pids(proc, pid_file, err_file)
+        assert len(pids) == 2
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(10)
+        assert not _still_running(pids)
+    finally:
+        _kill_all(proc, pids)
+
+
+_LIBRARY_EXIT = (
+    "from czcp.search import SearchSpec, run_search_parallel\n"
+    "for m in (12, 14):\n"
+    "    run_search_parallel(SearchSpec(m=m, mid_abs=2), 2)\n"
+    "write_pids()\n"
+)
+_CLI_EXIT = (
+    "from czcp.cli import main\n"
+    "code = main(['search', '--length', '12', '--mid-abs', '2', '--jobs', '2'])\n"
+    "write_pids()\n"
+    "sys.exit(code)\n"
+)
+
+
+@needs_proc
+@pytest.mark.parametrize(
+    ("script", "status"), [(_LIBRARY_EXIT, 0), (_CLI_EXIT, 141)], ids=["library", "cli-closed-stdout"]
+)
+def test_exit_leaves_no_worker_running(tmp_path, script, status):
+    if status == 141 and (os.cpu_count() or 1) < 2:
+        pytest.skip("--jobs 2 needs two CPUs")
+    # the CLI's reader closes stdout before anything is written to it
+    proc, pid_file, err_file = _start(tmp_path, script, subprocess.PIPE)
+    proc.stdout.close()
+    pids = set()
+    try:
+        assert proc.wait(60) == status, err_file.read_text()
+        pids = _read_pids(proc, pid_file, err_file)
+        assert len(pids) == 2
+        assert not _still_running(pids)
+    finally:
+        _kill_all(proc, pids)
