@@ -62,12 +62,17 @@ all once.
 The worker processes outlive the call: the first run_search_parallel call
 with a given `jobs` starts a pool of that many workers, later calls with
 the same `jobs` reuse it, and a call with another `jobs` shuts it down and
-starts a new one. So a loop of parallel searches pays pool start-up once.
-concurrent.futures shuts the pool down at interpreter exit; each worker
-also exits on its own when the process that started it dies, so a killed
-parent leaves none running. Workers see this module's state as it was when
-the pool started (forked, Linux's default start method) or as a fresh
-import gives it (spawned), never a change the caller made later.
+starts a new one. So only a process that makes several parallel calls
+gains (a loop of searches); the CLI makes one per process and still pays
+pool start-up once. concurrent.futures shuts the pool down at interpreter
+exit; each worker also exits on its own when the process that started it
+dies, so a killed parent leaves none running. While the pool is kept, the
+calling process holds its threads and idle workers. A child forked from it
+(os.fork, or a 'fork' multiprocessing context) forgets the pool and starts
+its own on its first parallel call. Workers start by the platform's default
+start method, so they see this module's state as it was when the pool
+started (fork) or as a fresh import gives it (spawn, forkserver), never a
+change the caller made later.
 
 Survivors are grouped into equivalence classes on their packed sign words
 (_canonical_words), with no sequence built per survivor; each class is
@@ -105,6 +110,20 @@ _MIDDLES = {None: (0, 1), 0: (1,), 2: (0,), 4: (1,)}
 # replaced only under _pool_lock
 _pool = None
 _pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    """In a forked child: drop the parent's pool, its lock and its workers."""
+    global _pool, _pool_lock
+    if _pool is not None:
+        # the workers are the parent's children; left in multiprocessing's
+        # list of this process's children, its exit handler would join them
+        # and fail (multiprocessing clears the list this way in its own children)
+        multiprocessing.process._children.difference_update(_pool[1]._processes.values())
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 class SearchSpecError(ValueError):

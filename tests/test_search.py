@@ -593,6 +593,43 @@ def test_workers_exit_when_parent_is_killed(tmp_path):
         _kill_all(proc, pids)
 
 
+_FORK_AFTER_CALL = (
+    "import os, signal\n"
+    "from czcp.search import SearchSpec, run_search, run_search_parallel\n"
+    "spec = SearchSpec(m=12, mid_abs=2)\n"
+    "want = [p.texts() for p in run_search(spec).pairs]\n"
+    "def search():\n"
+    "    return [p.texts() for p in run_search_parallel(spec, 2).pairs]\n"
+    "assert search() == want\n"
+    "pid = os.fork()\n"
+    "if pid == 0:\n"
+    "    signal.alarm(30)  # a child waiting on the parent's pool ends here\n"
+    "    sys.exit(0 if search() == want else 3)\n"
+    "assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0\n"
+    "assert search() == want\n"
+    "write_pids()\n"
+)
+
+
+@needs_proc
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_pool(tmp_path):
+    # the child of a process that holds a pool searches with a new one and
+    # exits cleanly; the parent's pool keeps serving the parent
+    with open(tmp_path / "out", "w") as out:
+        proc, pid_file, err_file = _start(tmp_path, _FORK_AFTER_CALL, out)
+    pids = set()
+    try:
+        assert proc.wait(90) == 0, err_file.read_text()
+        err = err_file.read_text()
+        assert "Traceback" not in err and "Exception ignored" not in err, err
+        pids = _read_pids(proc, pid_file, err_file)
+        assert len(pids) == 2
+        assert not _still_running(pids)
+    finally:
+        _kill_all(proc, pids)
+
+
 _LIBRARY_EXIT = (
     "from czcp.search import SearchSpec, run_search_parallel\n"
     "for m in (12, 14):\n"
