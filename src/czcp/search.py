@@ -17,9 +17,29 @@ pair at a shift above M/2 lies inside either set, so those sums vanish for
 every candidate, and shifts 1..M/2-1 are the only ones that can reject. For
 them the condition is A+ = -A-, with each side a function of its own half of
 c. The search is therefore a meet-in-the-middle join: per middle class it
-lists the sign words of each half (about 2^(M/2) each), computes their half
-sums at shifts 1..M/2-1, and matches equal rows, in about 2^(M/2+2) row
-operations instead of 2^(M+1) candidate tests.
+lists the sign words of each half (about 2^(M/2) each) and matches them on
+their sums at shifts 1..M/2-1, in about 2^(M/2+2) word operations per shift
+instead of 2^(M+1) candidate tests.
+
+The join takes the sums from popcounts and builds no matrix of them. In a
+half with sign word w, A(u) = k(u) - 2 d(u): k(u) counts the pairs (i, i+u)
+inside the half and d(u) = popcount((w ^ w >> u) & mask) those of them
+whose signs differ, mask marking the i with i and i+u both inside. So
+A+ = -A- exactly when d+ + d- = t(u) = (k+(u) + k-(u)) / 2. t(u) is an
+integer: for u <= M/2-1 the first u positions lie in P+ and the last u in
+P-, so the number of pairs at shift u that cross between the sets has the
+parity of u, and the M-u pairs less those are even in number. Each P+
+word's key packs 32 + d+ and each P- word's 32 + t - d- at the first
+_KEY_SHIFTS shifts, 6 bits a shift (every field lies in [0, 64)), built one
+shift at a time; the join sort-matches the keys and checks the later shifts
+on the key matches only.
+
+Class 0 lists half of P+. For M >= 4 its shift M/2-1 has exactly two pairs
+inside P+ = {0..M/2}, (0, M/2-1) and (1, M/2), and none inside
+P- = {M/2+1..M-1}, which spans M/2-2. So A- = 0 there, and a match needs
+A+ = c_0 c_(M/2-1) + c_1 c_(M/2) = 0, that is c_(M/2) = -c_1 c_(M/2-1)
+(c_0 = +1). The join derives that bit of each P+ word instead of listing
+both values, which drops only words that match nothing.
 
 The middle class decides |AACS(M/2)|. Let x = c_(M/2-1) - d_(M/2-1) and
 y = c_(M/2) + d_(M/2). For M >= 4 the mirrored terms of AACS(M/2) cancel
@@ -101,7 +121,7 @@ from .sequences import BinarySequence, SequencePair
 from .verify import czcp_width, golay_factorization
 
 _LARGE_SPACE = 1 << 24  # gate for M >= 24 (2^25 candidates and up)
-_MAX_M = 40  # the joins at M = 40 hold 2^21 half rows (0.74 s, 133 MB peak unfiltered, 2-vCPU host)
+_MAX_M = 40  # M = 40 joins up to 2^20 words a half (0.49 s, 104 MB peak unfiltered, 2-vCPU host)
 _KEY_SHIFTS = 10  # shifts packed into the join key, 6 bits each
 # mid_abs -> the middle classes whose joins hold every optimal class with
 # that |AACS(M/2)| (module docstring); any other value has no candidate
@@ -226,7 +246,9 @@ def _decode(index, m):
 
 
 def _word_to_sequence(word, m):
-    return BinarySequence([-1 if (word >> j) & 1 else 1 for j in range(m)])
+    """The sequence whose sign word is the m-bit `word` (bit j set for -1 at j), m <= 64."""
+    bits = (np.uint64(word) >> np.arange(m, dtype=np.uint64)) & np.uint64(1)
+    return BinarySequence(1 - 2 * bits.view(np.int64))
 
 
 def _bit_reverse(word, m):
@@ -299,52 +321,89 @@ def _half_words(positions):
     return words
 
 
-def _half_sums(words, positions, m):
-    """int8 rows (one per shift in _check_shifts) of sum c_i c_(i+u) inside `positions`.
+def _differ(words, bits, u, out=None):
+    """d(u) per word: the pairs at shift u inside a half that differ in sign.
 
-    With mask the indices i for which i and i+u both lie in the set, the sum
-    is popcount(mask) - 2 * popcount((w ^ w >> u) & mask), the identity
-    _scan_block applies at shift M/2.
+    `bits` marks the half's positions, so mask = bits & bits >> u marks the
+    i with i and i+u both in it, and d(u) = popcount((w ^ w >> u) & mask).
+    The half's sum at shift u is popcount(mask) - 2 d(u). Returns a uint64
+    array, written into `out` if given.
     """
-    inside = sum(1 << p for p in positions)
-    rows = np.empty((len(_check_shifts(m)), words.size), dtype=np.int8)
-    for row, u in zip(rows, _check_shifts(m)):
-        mask = inside & (inside >> u)
-        diff = np.bitwise_count((words ^ (words >> np.uint64(u))) & np.uint64(mask))
-        row[:] = mask.bit_count() - 2 * diff.astype(np.int8)
-    return rows
+    out = np.right_shift(words, np.uint64(u), out=out)
+    out ^= words
+    out &= np.uint64(bits & (bits >> u))
+    return np.bitwise_count(out, out=out)
 
 
-def _join_key(rows):
-    """The first _KEY_SHIFTS rows packed into one uint64 per column (|sum| < 32)."""
-    key = np.zeros(rows.shape[1], dtype=np.uint64)
-    for row in rows[:_KEY_SHIFTS]:
-        key = (key << np.uint64(6)) | (row + 32).astype(np.uint64)
+def _half_key(words, bits, shifts):
+    """The d(u) of each word at `shifts`, 6 bits each, packed into one uint64, the first highest.
+
+    Only one per-shift array is held at a time.
+    """
+    key = np.zeros(words.size, dtype=np.uint64)
+    field = np.empty_like(key)
+    for u in shifts:
+        key <<= np.uint64(6)
+        key |= _differ(words, bits, u, out=field)
+    return key
+
+
+def _pack(fields):
+    """The 6-bit fields packed as _half_key packs them, the first highest."""
+    key = 0
+    for f in fields:
+        key = key << 6 | f
     return key
 
 
 def _join(m, middle, lo, hi):
     """Encodings in [lo, hi) of class `middle` with AACS zero at every shift in _check_shifts."""
     plus, minus = _halves(m, middle)
-    left_words, right_words = _half_words(plus), _half_words(minus)
+    if middle == 0 and m >= 4:
+        # c_(M/2) = -c_1 c_(M/2-1) for every match (module docstring): list P+
+        # without position M/2, the last of `plus`, and derive its bit
+        h = m // 2
+        left_words = _half_words(plus[:-1])
+        one = np.uint64(1)
+        derived = (left_words >> one) ^ (left_words >> np.uint64(h - 1)) ^ one
+        left_words |= (derived & one) << np.uint64(h)
+    else:
+        left_words = _half_words(plus)
+    right_words = _half_words(minus)
     # the left words lie below bit M/2+1, so every encoding built from a right
     # word R lies in [R << 1, (R << 1) + 2^(M/2+2)); drop the Rs outside [lo, hi)
     start = right_words << np.uint64(1)
     right_words = right_words[(start < hi) & (start + np.uint64(1 << (m // 2 + 2)) > lo)]
-    left = _half_sums(left_words, plus, m)
-    right = -_half_sums(right_words, minus, m)
-    # sort-join on the packed key, then compare the remaining shifts in full;
-    # sorted needles keep searchsorted's lookups local
-    left_key, right_key = _join_key(left), _join_key(right)
+    # A+ = -A- at shift u iff d+ + d- = t(u) = (k+(u) + k-(u)) / 2 (module
+    # docstring); the left key's fields are 32 + d+, the right key's 32 + t - d-
+    lbits, rbits = sum(1 << p for p in plus), sum(1 << p for p in minus)
+    shifts = _check_shifts(m)
+    totals = [
+        ((lbits & lbits >> u).bit_count() + (rbits & rbits >> u).bit_count()) // 2 for u in shifts
+    ]
+    keyed = shifts[:_KEY_SHIFTS]
+    left_key = _half_key(left_words, lbits, keyed)
+    left_key += np.uint64(_pack([32] * len(keyed)))
+    right_key = _half_key(right_words, rbits, keyed)
+    np.subtract(np.uint64(_pack([32 + t for t in totals[:_KEY_SHIFTS]])), right_key, out=right_key)
+    # sort-join on the packed key; sorted needles keep searchsorted's lookups local
     lorder, rorder = np.argsort(left_key), np.argsort(right_key)
     left_key, right_key = left_key[lorder], right_key[rorder]
     first = np.searchsorted(left_key, right_key, side="left")
+    # drop the right keys no left key equals before the second search; the
+    # left keys are never empty (_half_words starts from the zero word)
+    found = left_key[np.minimum(first, left_key.size - 1)] == right_key
+    rorder, right_key, first = rorder[found], right_key[found], first[found]
     count = np.searchsorted(left_key, right_key, side="right") - first
     ri = np.repeat(rorder, count)
     rank = np.arange(ri.size) - np.repeat(np.cumsum(count) - count, count)
     li = lorder[np.repeat(first, count) + rank]
-    hit = np.all(left[:, li] == right[:, ri], axis=0)
-    x = left_words[li[hit]] | right_words[ri[hit]]
+    # then the shifts past the key, on the key matches only
+    left_words, right_words = left_words[li], right_words[ri]
+    for u, t in zip(shifts[_KEY_SHIFTS:], totals[_KEY_SHIFTS:]):
+        hit = _differ(left_words, lbits, u) + _differ(right_words, rbits, u) == t
+        left_words, right_words = left_words[hit], right_words[hit]
+    x = left_words | right_words
     cands = (x << np.uint64(1)) | np.uint64(middle)  # bit 0 of x (c0) is clear
     return cands[(cands >= lo) & (cands < hi)]
 

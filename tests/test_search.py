@@ -17,6 +17,7 @@ from czcp.search import (
     SearchSpec,
     _canonical_words,
     _decode,
+    _halves,
     _join,
     _key_pair,
     _scan_block,
@@ -65,6 +66,14 @@ def test_equivalents_of_seed_share_canonical_form():
 
 def _word_pair(x, y, m):
     return SequencePair(_word_to_sequence(x, m), _word_to_sequence(y, m))
+
+
+def test_word_to_sequence_matches_per_bit_definition(rng):
+    for m in range(1, 41):
+        for word in (0, (1 << m) - 1, *(rng.getrandbits(m) for _ in range(8))):
+            want = [-1 if (word >> j) & 1 else 1 for j in range(m)]
+            assert list(_word_to_sequence(word, m)) == want, (m, word)
+            assert list(_word_to_sequence(np.uint64(word), m)) == want, (m, word)
 
 
 def _key_texts(key, m):
@@ -191,6 +200,46 @@ def test_class2_matches_are_perfect():
     assert {m: n for m, n in sizes.items() if n} == {4: 4, 8: 16, 16: 96, 20: 64, 32: 768}
 
 
+def _pairs_inside(positions, u):
+    inside = set(positions)
+    return [(i, i + u) for i in sorted(inside) if i + u in inside]
+
+
+def test_pairs_inside_the_halves_are_even_in_number():
+    # the join matches d+ against t(u) - d-, t(u) = (k+(u) + k-(u)) / 2, so
+    # k+ + k- must be even: for u <= M/2-1 the first u positions lie in P+ and
+    # the last u in P-, so the number of pairs that cross between the sets
+    # has the parity of u, and the M-u pairs less those are even in number
+    for m in range(4, 57, 2):
+        for middle in range(4):
+            plus, minus = _halves(m, middle)
+            for u in range(1, m // 2):
+                k = len(_pairs_inside(plus, u)) + len(_pairs_inside(minus, u))
+                assert k % 2 == 0, (m, middle, u)
+
+
+def test_class0_middle_shift_holds_two_plus_pairs():
+    # so a class 0 match has c_0 c_(M/2-1) + c_1 c_(M/2) = 0 there, and the
+    # join derives c_(M/2) = -c_1 c_(M/2-1) instead of listing it
+    for m in range(4, 57, 2):
+        h = m // 2
+        plus, minus = _halves(m, 0)
+        assert _pairs_inside(plus, h - 1) == [(0, h - 1), (1, h)], m
+        assert _pairs_inside(minus, h - 1) == [], m
+
+
+def test_class0_matches_have_the_derived_middle_sign():
+    # on the block scanner's matches, the sign the join derives in class 0
+    found = 0
+    for m in range(4, 23, 2):
+        h = m // 2
+        matches = scan_space(m, None)
+        x, _ = _decode(matches[matches % np.uint64(4) == 0], m)
+        assert np.array_equal(_sign(x, h), -_sign(x, 1) * _sign(x, h - 1)), m
+        found += x.size
+    assert found
+
+
 def test_decode_arrays_match_scalar_decode():
     for m in range(2, 13, 2):
         space = SearchSpec(m=m).space
@@ -266,14 +315,14 @@ def test_shard_sliced_joins_partition_the_whole_join(monkeypatch):
     # range; the slices must still add up to the whole join
     import czcp.search as search_mod
 
-    sizes = []  # words per _half_sums call: the P+ half, then the P- half
-    real = search_mod._half_sums
+    sizes = []  # words per _half_key call: the P+ half, then the P- half
+    real = search_mod._half_key
 
-    def recording(words, positions, m):
+    def recording(words, *args):
         sizes.append(words.size)
-        return real(words, positions, m)
+        return real(words, *args)
 
-    monkeypatch.setattr(search_mod, "_half_sums", recording)
+    monkeypatch.setattr(search_mod, "_half_key", recording)
     for m in range(2, 21, 2):
         for middle in range(4):
             space = SearchSpec(m=m).space
