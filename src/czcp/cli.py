@@ -361,7 +361,7 @@ def build_parser():
         default=None,
         help="the shard to run, 0..SHARDS-1 (required when --shards > 1)",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="worker threads")
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
@@ -407,7 +407,8 @@ def main(argv=None):
     except BrokenPipeError:
         # stdout's reader is gone: send what is still buffered to devnull, so
         # the flush at exit raises nothing. SIGPIPE keeps Python's handler,
-        # since the --jobs pool talks to its workers over pipes.
+        # since main is also called as a function, and a default handler set
+        # here would outlive the call and kill its caller on a closed pipe.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     return code

@@ -74,25 +74,15 @@ mid_abs, which only class 1 can miss.
 
 A search is a list of join passes, one per joined middle class and
 sub-range of the shard. run_search joins the shard as one range;
-run_search_parallel cuts it into one contiguous sub-range per worker
-process and hands the passes to the workers one at a time. Either way the
-matches come back to the calling process, which groups and verifies them
-all once.
-
-The worker processes outlive the call: the first run_search_parallel call
-with a given `jobs` starts a pool of that many workers, later calls with
-the same `jobs` reuse it, and a call with another `jobs` shuts it down and
-starts a new one. So only a process that makes several parallel calls
-gains (a loop of searches); the CLI makes one per process and still pays
-pool start-up once. concurrent.futures shuts the pool down at interpreter
-exit; each worker also exits on its own when the process that started it
-dies, so a killed parent leaves none running. While the pool is kept, the
-calling process holds its threads and idle workers. A child forked from it
-(os.fork, or a 'fork' multiprocessing context) forgets the pool and starts
-its own on its first parallel call. Workers start by the platform's default
-start method, so they see this module's state as it was when the pool
-started (fork) or as a fresh import gives it (spawn, forkserver), never a
-change the caller made later.
+run_search_parallel cuts it into one contiguous sub-range per worker and
+runs the passes on that many threads, started and joined inside the call.
+The join is numpy array work that releases the GIL for most of its time,
+so threads overlap it without copying any array between processes. Below
+M = _THREADS_MIN_M two threads contending for the GIL lose to the same
+passes run in turn, so shorter searches run them in turn in the calling
+thread. A worker thread runs _join and nothing else: the matches come back
+to the calling thread, which reports progress, groups and verifies them all
+once (so the names perfbench/tracer.py wraps are called on one thread).
 
 Survivors are grouped into equivalence classes on their packed sign words
 (_canonical_words), with no sequence built per survivor; each class is
@@ -106,12 +96,8 @@ above 40 are refused outright: the join's memory grows about 4x per +4.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -126,24 +112,13 @@ _KEY_SHIFTS = 10  # shifts packed into the join key, 6 bits each
 # mid_abs -> the middle classes whose joins hold every optimal class with
 # that |AACS(M/2)| (module docstring); any other value has no candidate
 _MIDDLES = {None: (0, 1), 0: (1,), 2: (0,), 4: (1,)}
-# run_search_parallel's kept worker pool, (jobs, executor) or None; read and
-# replaced only under _pool_lock
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool():
-    """In a forked child: drop the parent's pool, its lock and its workers."""
-    global _pool, _pool_lock
-    if _pool is not None:
-        # the workers are the parent's children; left in multiprocessing's
-        # list of this process's children, its exit handler would join them
-        # and fail (multiprocessing clears the list this way in its own children)
-        multiprocessing.process._children.difference_update(_pool[1]._processes.values())
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
+# run_search_parallel threads its passes from this length on and runs them in
+# turn below it. Two threads against the same passes in turn, means of 2 s
+# runs on a 2-vCPU host: M = 28 unset 7.2-8.8 against 6.0-6.6 ms; M = 30 unset
+# 10.5-12.1 against 11.7-13.6 ms, but mid_abs = 2 even (5.0-5.4 against
+# 4.7-5.5 ms); M = 32 unset 18.7-20.0 against 25.4-27.4 ms, mid_abs = 2
+# 7.8-8.5 against 10.2-11.4 ms
+_THREADS_MIN_M = 32
 
 
 class SearchSpecError(ValueError):
@@ -413,7 +388,7 @@ def _search(spec, progress, jobs, join_map):
 
     join_map(_join, ...) runs the passes, one per sub-range and middle class
     in _MIDDLES[mid_abs], and yields their matches in pass order; the
-    matches are filtered, grouped and verified once, in this process.
+    matches are filtered, grouped and verified once, in the calling thread.
     """
     warnings = []
     if golay_factorization(spec.m) is not None:
@@ -460,49 +435,24 @@ def run_search(spec, progress=None):
     return _search(spec, progress, 1, map)
 
 
-def _exit_with_parent():
-    multiprocessing.parent_process().join()
-    os._exit(1)
-
-
-def _watch_parent():
-    """Worker initializer: end this worker when the process that started it dies."""
-    threading.Thread(target=_exit_with_parent, daemon=True).start()
-
-
-def _worker_pool(jobs):
-    """The kept pool of `jobs` workers, started or replaced as needed; hold _pool_lock."""
-    global _pool
-    if _pool is not None and _pool[0] != jobs:
-        old, _pool = _pool[1], None
-        old.shutdown()
-    if _pool is None:
-        _pool = (jobs, ProcessPoolExecutor(max_workers=jobs, initializer=_watch_parent))
-    return _pool[1]
-
-
 def run_search_parallel(spec, jobs, progress=None):
-    """run_search with the shard's joins spread over `jobs` worker processes.
+    """run_search with the shard's joins spread over `jobs` worker threads.
 
-    With jobs <= 1 the search runs here via run_search(spec, progress).
-    Otherwise the passes (one per contiguous sub-range and joined middle
-    class) go to the workers one at a time, so each worker joins while
-    another does, and `progress` is called once per pass, as its matches
-    arrive.
-
-    The workers are kept for the next call (module docstring): the first
-    call starts them, a call with another `jobs` replaces them, and calls
-    from several threads take turns. A call that finds a worker dead raises
-    BrokenProcessPool and drops the pool, so the next call starts a new one.
+    With jobs <= 1 the search runs via run_search(spec, progress).
+    Otherwise the shard is cut into `jobs` contiguous sub-ranges, and the
+    passes (one per sub-range and joined middle class) run on `jobs`
+    threads started for this call, or in turn in the calling thread when
+    spec.m < _THREADS_MIN_M (module docstring). `progress` is called once
+    per pass, in pass order, from the calling thread. The threads are
+    joined before the call returns or raises; an exception from `progress`
+    cancels the passes not yet started.
     """
-    global _pool
     if jobs <= 1:
         return run_search(spec, progress)
-    with _pool_lock:
-        pool = _worker_pool(jobs)
-        try:
-            return _search(spec, progress, jobs, pool.map)  # chunksize 1: one pass per hand-out
-        except BrokenProcessPool:
-            _pool = None
-            pool.shutdown()
-            raise
+    if spec.m < _THREADS_MIN_M:
+        return _search(spec, progress, jobs, map)
+    pool = ThreadPoolExecutor(max_workers=jobs)
+    try:
+        return _search(spec, progress, jobs, pool.map)
+    finally:
+        pool.shutdown(cancel_futures=True)

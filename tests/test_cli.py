@@ -217,12 +217,13 @@ def test_search_shard_with_jobs_matches_one_process(capsys, monkeypatch):
 def test_search_jobs_outside_cpu_count_refused(capsys, monkeypatch, jobs):
     import czcp.search as search_mod
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search was started")
 
-    # a pool kept from an earlier call is reached only through _worker_pool
-    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(search_mod, "_worker_pool", no_pool)
+    # a search at any length joins through _join, and threads start only
+    # through ThreadPoolExecutor
+    monkeypatch.setattr(search_mod, "ThreadPoolExecutor", no_search)
+    monkeypatch.setattr(search_mod, "_join", no_search)
     code, out, err = run_cli(capsys, "search", "--length", "6", "--jobs", str(jobs), "--json")
     assert code == 2
     assert "Traceback" not in err

@@ -1,10 +1,7 @@
-import multiprocessing
 import os
-import signal
 import subprocess
 import sys
-import time
-from concurrent.futures.process import BrokenProcessPool
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +11,7 @@ from czcp import catalog
 from czcp.correlation import aacs_profile
 from czcp.search import (
     _MIDDLES,
+    _THREADS_MIN_M,
     SearchSpec,
     _canonical_words,
     _decode,
@@ -21,6 +19,7 @@ from czcp.search import (
     _join,
     _key_pair,
     _scan_block,
+    _search,
     _word_to_sequence,
     canonicalize,
     equivalents,
@@ -503,41 +502,15 @@ def test_parallel_fanout_matches_single():
         assert fanned.candidates_scanned == single.candidates_scanned
 
 
-# --- the kept worker pool -------------------------------------------------------
-
-needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
-
-
-def _workers():
-    """PIDs of this process's live child processes: the kept pool's workers."""
-    return {p.pid for p in multiprocessing.active_children()}
-
-
-def _running(pid):
-    """Whether process `pid` exists and has not exited (a zombie has)."""
-    # the state letter is the first field after the ")" that ends the name
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
-
-
-def _still_running(pids, timeout=5.0):
-    """The PIDs in `pids` still running once they all stopped or `timeout` seconds passed."""
-    deadline = time.monotonic() + timeout
-    while (alive := {p for p in pids if _running(p)}) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    return alive
+# --- worker threads --------------------------------------------------------------
 
 
 def _texts(result):
     return [p.texts() for p in result.pairs]
 
 
-def test_kept_pool_serves_every_call():
-    # back-to-back calls give run_search's results, all from the same two workers
-    pids = None
+def test_parallel_matches_single_below_thread_length():
+    # below _THREADS_MIN_M the passes run in turn; the result is run_search's
     for m in range(2, 21, 2):
         for mid_abs in (None, 0, 2, 4):
             for shards, index in ((1, 0), (3, 1)):
@@ -545,169 +518,157 @@ def test_kept_pool_serves_every_call():
                 want, got = run_search(spec), run_search_parallel(spec, 2)
                 assert _texts(got) == _texts(want), spec
                 assert got.candidates_scanned == want.candidates_scanned, spec
-                pids = pids or _workers()
-                assert len(pids) == 2 and _workers() == pids, spec
 
 
-@needs_proc
-def test_other_jobs_replaces_the_pool():
-    spec = SearchSpec(m=12, mid_abs=2)
-    want = _texts(run_search(spec))
-    pools = []
-    for jobs in (2, 3, 2):
-        assert _texts(run_search_parallel(spec, jobs)) == want, jobs
-        pools.append(_workers())
-        assert len(pools[-1]) == jobs
-    assert not pools[0] & pools[1] and not pools[1] & pools[2]
-    assert not _still_running(pools[0] | pools[1])
+def _progress_calls(run):
+    calls = []
+    result = run(lambda done, total: calls.append((done, total)))
+    return result, calls
 
 
-@needs_proc
-def test_dead_worker_breaks_one_call():
-    # the call that finds the pool broken raises; the next one starts a new pool
-    spec = SearchSpec(m=12, mid_abs=2)
-    want = _texts(run_search(spec))
-    run_search_parallel(spec, 2)
-    pids = _workers()
-    os.kill(min(pids), signal.SIGKILL)
-    # the pool stops its other workers once it sees one die; until then a
-    # call may still finish on the survivors
-    assert not _still_running(pids)
-    with pytest.raises(BrokenProcessPool):
-        run_search_parallel(spec, 2)
-    assert _texts(run_search_parallel(spec, 2)) == want
-    assert not _workers() & pids
+@pytest.mark.parametrize("m", [32, 34])
+def test_threaded_search_matches_single(m):
+    assert m >= _THREADS_MIN_M
+    for mid_abs in (None, 0, 2, 4):
+        for shards, index in ((1, 0), (3, 1)):
+            spec = SearchSpec(
+                m=m, mid_abs=mid_abs, shards=shards, shard_index=index, allow_large=True
+            )
+            want = run_search(spec)
+            for jobs in (2, 3):
+                threads = threading.active_count()
+                got, calls = _progress_calls(lambda p: run_search_parallel(spec, jobs, p))
+                assert threading.active_count() == threads
+                assert _texts(got) == _texts(want), (spec, jobs)
+                assert got.candidates_scanned == want.candidates_scanned
+                # the same passes run in turn report the same progress
+                _, in_turn = _progress_calls(lambda p: _search(spec, p, jobs, map))
+                assert calls == in_turn, (spec, jobs)
+
+
+def _thread_log(monkeypatch):
+    """Wrap the names a search calls; returns {name: set of thread idents}."""
+    import czcp.search as search_mod
+
+    log = {"_join": set(), "_scan_block": set(), "czcp_width": set()}
+    for name, threads in log.items():
+        def wrapped(*args, _f=getattr(search_mod, name), _threads=threads):
+            _threads.add(threading.get_ident())
+            return _f(*args)
+
+        monkeypatch.setattr(search_mod, name, wrapped)
+    return log
+
+
+@pytest.mark.parametrize(("m", "threaded"), [(28, False), (30, False), (32, True), (34, True)])
+def test_join_runs_on_workers_from_thread_length(monkeypatch, m, threaded):
+    log = _thread_log(monkeypatch)
+    here = threading.get_ident()
+    threads = threading.active_count()
+    run_search_parallel(SearchSpec(m=m, allow_large=True), 2)
+    assert threading.active_count() == threads
+    if threaded:
+        assert log["_join"] and here not in log["_join"]
+    else:
+        assert log["_join"] == {here}
+    # the names perfbench/tracer.py wraps run only here, since its span stack
+    # is one per process; no class reaches czcp_width at M = 30 and 34
+    assert log["_scan_block"] == {here} and log["czcp_width"] <= {here}
+
+
+def test_failing_progress_leaves_no_thread():
+    spec = SearchSpec(m=32, allow_large=True)
+
+    class Stop(Exception):
+        pass
+
+    def progress(done, total):
+        raise Stop
+
+    threads = threading.active_count()
+    with pytest.raises(Stop):
+        run_search_parallel(spec, 2, progress)
+    assert threading.active_count() == threads
+    assert _texts(run_search_parallel(spec, 2)) == _texts(run_search(spec))
 
 
 _SRC = os.path.dirname(os.path.dirname(catalog.__file__))
 
-# each script writes its worker PIDs to the file named by argv[1]
-_WRITE_PIDS = (
-    "import multiprocessing, sys\n"
-    "def write_pids():\n"
-    "    with open(sys.argv[1], 'w') as fh:\n"
-    "        print(*(p.pid for p in multiprocessing.active_children()), file=fh)\n"
+# each script ends by asserting that the process has no child process and
+# runs no thread but its main one
+_NOTHING_LEFT = (
+    "import os, sys, threading\n"
+    "def nothing_left():\n"
+    "    try:\n"
+    "        os.waitpid(-1, os.WNOHANG)\n"
+    "    except ChildProcessError:\n"
+    "        return threading.active_count() == 1\n"
+    "    return False\n"
 )
 
 
-def _start(tmp_path, script, stdout):
-    """Run `script` in a fresh interpreter; returns (process, PID file, stderr file)."""
-    pid_file, err_file = tmp_path / "pids", tmp_path / "err"
+def _run_script(tmp_path, script, status):
+    """Run `script` in a fresh interpreter with stdout closed; check its exit."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
+    err_file = tmp_path / "err"
     with open(err_file, "w") as err:
         proc = subprocess.Popen(
-            [sys.executable, "-c", _WRITE_PIDS + script, str(pid_file)],
-            stdout=stdout, stderr=err, env=env,
+            [sys.executable, "-c", _NOTHING_LEFT + script],
+            stdout=subprocess.PIPE, stderr=err, env=env,
         )
-    return proc, pid_file, err_file
-
-
-def _read_pids(proc, pid_file, err_file, timeout=60.0):
-    deadline = time.monotonic() + timeout
-    while not (pid_file.exists() and pid_file.read_text().endswith("\n")):
-        assert proc.poll() is None or pid_file.exists(), err_file.read_text()
-        assert time.monotonic() < deadline, "no PID line"
-        time.sleep(0.05)
-    return {int(pid) for pid in pid_file.read_text().split()}
-
-
-def _kill_all(proc, pids):
-    proc.kill()
-    proc.wait(10)
-    for pid in pids:
-        if _running(pid):
-            os.kill(pid, signal.SIGKILL)
-
-
-@needs_proc
-def test_workers_exit_when_parent_is_killed(tmp_path):
-    script = (
-        "import time\n"
-        "from czcp.search import SearchSpec, run_search_parallel\n"
-        "run_search_parallel(SearchSpec(m=12, mid_abs=2), 2)\n"
-        "write_pids()\n"
-        "time.sleep(60)\n"
-    )
-    # stdout goes to a file: workers left holding a pipe would hang its reader
-    with open(tmp_path / "out", "w") as out:
-        proc, pid_file, err_file = _start(tmp_path, script, out)
-    pids = set()
+    proc.stdout.close()  # the reader is gone before anything is written
     try:
-        pids = _read_pids(proc, pid_file, err_file)
-        assert len(pids) == 2
-        proc.send_signal(signal.SIGKILL)
-        proc.wait(10)
-        assert not _still_running(pids)
+        assert proc.wait(90) == status, err_file.read_text()
     finally:
-        _kill_all(proc, pids)
+        proc.kill()
+        proc.wait()
+    err = err_file.read_text()
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 _FORK_AFTER_CALL = (
-    "import os, signal\n"
+    "import signal\n"
     "from czcp.search import SearchSpec, run_search, run_search_parallel\n"
-    "spec = SearchSpec(m=12, mid_abs=2)\n"
+    "spec = SearchSpec(m=32, mid_abs=2, allow_large=True)\n"
     "want = [p.texts() for p in run_search(spec).pairs]\n"
     "def search():\n"
     "    return [p.texts() for p in run_search_parallel(spec, 2).pairs]\n"
     "assert search() == want\n"
     "pid = os.fork()\n"
     "if pid == 0:\n"
-    "    signal.alarm(30)  # a child waiting on the parent's pool ends here\n"
-    "    sys.exit(0 if search() == want else 3)\n"
+    "    signal.alarm(30)  # a child that hangs ends here\n"
+    "    sys.exit(0 if search() == want and nothing_left() else 3)\n"
     "assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0\n"
     "assert search() == want\n"
-    "write_pids()\n"
+    "assert nothing_left()\n"
 )
 
 
-@needs_proc
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_starts_its_own_pool(tmp_path):
-    # the child of a process that holds a pool searches with a new one and
-    # exits cleanly; the parent's pool keeps serving the parent
-    with open(tmp_path / "out", "w") as out:
-        proc, pid_file, err_file = _start(tmp_path, _FORK_AFTER_CALL, out)
-    pids = set()
-    try:
-        assert proc.wait(90) == 0, err_file.read_text()
-        err = err_file.read_text()
-        assert "Traceback" not in err and "Exception ignored" not in err, err
-        pids = _read_pids(proc, pid_file, err_file)
-        assert len(pids) == 2
-        assert not _still_running(pids)
-    finally:
-        _kill_all(proc, pids)
+    # the child of a process that has searched on threads searches on its
+    # own and exits cleanly; the parent keeps searching after it
+    _run_script(tmp_path, _FORK_AFTER_CALL, 0)
 
 
 _LIBRARY_EXIT = (
     "from czcp.search import SearchSpec, run_search_parallel\n"
-    "for m in (12, 14):\n"
-    "    run_search_parallel(SearchSpec(m=m, mid_abs=2), 2)\n"
-    "write_pids()\n"
+    "for m in (32, 34):\n"
+    "    run_search_parallel(SearchSpec(m=m, mid_abs=2, allow_large=True), 2)\n"
+    "assert nothing_left()\n"
 )
 _CLI_EXIT = (
     "from czcp.cli import main\n"
-    "code = main(['search', '--length', '12', '--mid-abs', '2', '--jobs', '2'])\n"
-    "write_pids()\n"
+    "code = main(['search', '--length', '32', '--mid-abs', '2', '--allow-large', '--jobs', '2'])\n"
+    "assert nothing_left()\n"
     "sys.exit(code)\n"
 )
 
 
-@needs_proc
 @pytest.mark.parametrize(
     ("script", "status"), [(_LIBRARY_EXIT, 0), (_CLI_EXIT, 141)], ids=["library", "cli-closed-stdout"]
 )
 def test_exit_leaves_no_worker_running(tmp_path, script, status):
     if status == 141 and (os.cpu_count() or 1) < 2:
         pytest.skip("--jobs 2 needs two CPUs")
-    # the CLI's reader closes stdout before anything is written to it
-    proc, pid_file, err_file = _start(tmp_path, script, subprocess.PIPE)
-    proc.stdout.close()
-    pids = set()
-    try:
-        assert proc.wait(60) == status, err_file.read_text()
-        pids = _read_pids(proc, pid_file, err_file)
-        assert len(pids) == 2
-        assert not _still_running(pids)
-    finally:
-        _kill_all(proc, pids)
+    _run_script(tmp_path, script, status)
