@@ -63,8 +63,9 @@ unset, and none for any other value. Classes 2 and 3 are never joined.
 Candidates are encoded as integers (c's sign bits shifted left twice, plus
 two bits choosing the middle signs); shards are contiguous ranges of that
 integer. The high bits of an encoding are the P- half's word, so each shard
-joins only the P- words whose encodings can land in its range and keeps the
-encodings that do. The union of the shards' classes is the unsharded
+lists only the P- words whose encodings can land in its range and keeps the
+encodings that do; a shard's passes split those words by key part, not by
+encoding range. The union of the shards' classes is the unsharded
 result, but one shard's classes can differ from what its range holds: a
 class that reaches the shard only through class 3 is found by the shard
 whose range holds its class 0 reflection. The join compares every shift
@@ -72,17 +73,20 @@ whose range holds its class 0 reflection. The join compares every shift
 classes with AACS zero there; _scan_block keeps those whose |AACS(M/2)| is
 mid_abs, which only class 1 can miss.
 
-A search is a list of join passes, one per joined middle class and
-sub-range of the shard. run_search joins the shard as one range;
-run_search_parallel cuts it into one contiguous sub-range per worker and
-runs the passes on that many threads, started and joined inside the call.
-The join is numpy array work that releases the GIL for most of its time,
-so threads overlap it without copying any array between processes. Below
-M = _THREADS_MIN_M two threads contending for the GIL lose to the same
-passes run in turn, so shorter searches run them in turn in the calling
-thread. A worker thread runs _join and nothing else: the matches come back
-to the calling thread, which reports progress, groups and verifies them all
-once (so the names perfbench/tracer.py wraps are called on one thread).
+A search is a list of join passes, one per joined middle class and key
+part. Each half of a class is listed once and split into `jobs` key parts
+(_key_parts): a word's part is its shift-1 key field mod `jobs`, and the
+left and right fields are equal on every match, so no match crosses parts
+and the parts' matches add up to the class's whole join. run_search joins
+each class as one part, with no partition pass. run_search_parallel is
+run_search below M = _THREADS_MIN_M, where two threads lose to one;
+from there on it lists the two halves on two worker threads started for
+the call, and `jobs` threads key, sort and join one part each. The join is
+numpy array work that releases the GIL for most of its time, so threads
+overlap it without copying any array between processes. A worker thread
+runs _key_parts and _join and nothing else: the matches come back to the
+calling thread, which reports progress, groups and verifies them all once
+(so the names perfbench/tracer.py wraps are called on one thread).
 
 Survivors are grouped into equivalence classes on their packed sign words
 (_canonical_words), with no sequence built per survivor; each class is
@@ -99,6 +103,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -107,17 +112,20 @@ from .sequences import BinarySequence, SequencePair
 from .verify import czcp_width, golay_factorization
 
 _LARGE_SPACE = 1 << 24  # gate for M >= 24 (2^25 candidates and up)
-_MAX_M = 40  # M = 40 joins up to 2^20 words a half (0.49 s, 104 MB peak unfiltered, 2-vCPU host)
+_MAX_M = 40  # M = 40 joins up to 2^20 words a half (0.3 s, 95 MB peak unfiltered, 2-vCPU host)
 _KEY_SHIFTS = 10  # shifts packed into the join key, 6 bits each
+_KEY_BLOCK = 1 << 16  # words keyed at a time (_half_key)
 # mid_abs -> the middle classes whose joins hold every optimal class with
 # that |AACS(M/2)| (module docstring); any other value has no candidate
 _MIDDLES = {None: (0, 1), 0: (1,), 2: (0,), 4: (1,)}
-# run_search_parallel threads its passes from this length on and runs them in
-# turn below it. Two threads against the same passes in turn, means of 2 s
-# runs on a 2-vCPU host: M = 28 unset 7.2-8.8 against 6.0-6.6 ms; M = 30 unset
-# 10.5-12.1 against 11.7-13.6 ms, but mid_abs = 2 even (5.0-5.4 against
-# 4.7-5.5 ms); M = 32 unset 18.7-20.0 against 25.4-27.4 ms, mid_abs = 2
-# 7.8-8.5 against 10.2-11.4 ms
+# run_search_parallel threads its passes from this length on and is run_search
+# below it. Two threads (one pass per class and key part) against run_search,
+# medians of 21 alternating calls, two rounds, 2-vCPU host: M = 28 unset
+# 7.4/8.4 against 5.5/5.3 ms, mid_abs = 2 4.0/4.6 against 2.8/2.6 ms; M = 30
+# unset 11.6/9.3 against 9.3/8.1 ms, mid_abs = 2 3.5/3.9 against 2.7/3.1 ms;
+# M = 32 unset 16.4/15.4 against 14.2/18.1 ms, mid_abs = 2 5.9/6.3 against
+# 5.2/5.4 ms; M = 34 unset 25.2/24.5 against 28.7/31.7 ms, mid_abs = 2
+# 9.2/9.8 against 10.8/11.2 ms. M = 32 is even within the host's spread.
 _THREADS_MIN_M = 32
 
 
@@ -313,13 +321,16 @@ def _differ(words, bits, u, out=None):
 def _half_key(words, bits, shifts):
     """The d(u) of each word at `shifts`, 6 bits each, packed into one uint64, the first highest.
 
-    Only one per-shift array is held at a time.
+    The key is built in blocks of _KEY_BLOCK words, all shifts of a block
+    before the next, so a block's six array passes per shift stay in cache.
     """
     key = np.zeros(words.size, dtype=np.uint64)
-    field = np.empty_like(key)
-    for u in shifts:
-        key <<= np.uint64(6)
-        key |= _differ(words, bits, u, out=field)
+    field = np.empty(min(words.size, _KEY_BLOCK), dtype=np.uint64)
+    for a in range(0, words.size, _KEY_BLOCK):
+        block, out = words[a : a + _KEY_BLOCK], key[a : a + _KEY_BLOCK]
+        for u in shifts:
+            out <<= np.uint64(6)
+            out |= _differ(block, bits, u, out=field[: block.size])
     return key
 
 
@@ -331,31 +342,66 @@ def _pack(fields):
     return key
 
 
-def _join(m, middle, lo, hi):
-    """Encodings in [lo, hi) of class `middle` with AACS zero at every shift in _check_shifts."""
+def _class_sums(m, middle):
+    """Class `middle`'s position masks of P+ and P-, and t(u) at each shift in _check_shifts."""
     plus, minus = _halves(m, middle)
-    if middle == 0 and m >= 4:
+    lbits, rbits = sum(1 << p for p in plus), sum(1 << p for p in minus)
+    totals = [
+        ((lbits & lbits >> u).bit_count() + (rbits & rbits >> u).bit_count()) // 2
+        for u in _check_shifts(m)
+    ]
+    return lbits, rbits, totals
+
+
+def _key_parts(m, middle, lo, hi, parts, side):
+    """One half of class `middle`, listed once and split into `parts` key parts.
+
+    Side 0 is P+, the left words; side 1 is P-, the right words, cut to
+    those whose encodings can land in [lo, hi). Returns one word array per
+    part. A word's part is its shift-1 key field mod `parts`: 32 + d+(1) on
+    the left, 32 + t(1) - d-(1) on the right, equal on every match, so no
+    match crosses parts. One part is the whole half, with no partition
+    pass; at M = 2, which has no shift to key on, every word is in part 0.
+    """
+    plus, minus = _halves(m, middle)
+    if side:
+        words = _half_words(minus)
+        # the left words lie below bit M/2+1, so every encoding built from a
+        # right word R lies in [R << 1, (R << 1) + 2^(M/2+2)); drop the Rs
+        # outside [lo, hi)
+        start = words << np.uint64(1)
+        words = words[(start < hi) & (start + np.uint64(1 << (m // 2 + 2)) > lo)]
+    elif middle == 0 and m >= 4:
         # c_(M/2) = -c_1 c_(M/2-1) for every match (module docstring): list P+
         # without position M/2, the last of `plus`, and derive its bit
         h = m // 2
-        left_words = _half_words(plus[:-1])
+        words = _half_words(plus[:-1])
         one = np.uint64(1)
-        derived = (left_words >> one) ^ (left_words >> np.uint64(h - 1)) ^ one
-        left_words |= (derived & one) << np.uint64(h)
+        derived = (words >> one) ^ (words >> np.uint64(h - 1)) ^ one
+        words |= (derived & one) << np.uint64(h)
     else:
-        left_words = _half_words(plus)
-    right_words = _half_words(minus)
-    # the left words lie below bit M/2+1, so every encoding built from a right
-    # word R lies in [R << 1, (R << 1) + 2^(M/2+2)); drop the Rs outside [lo, hi)
-    start = right_words << np.uint64(1)
-    right_words = right_words[(start < hi) & (start + np.uint64(1 << (m // 2 + 2)) > lo)]
+        words = _half_words(plus)
+    if parts == 1 or m == 2:
+        return [words] + [np.zeros(0, dtype=np.uint64)] * (parts - 1)
+    lbits, rbits, totals = _class_sums(m, middle)
+    d = np.arange(64)  # every d(1) the half can have
+    fields = 32 + totals[0] - d if side else 32 + d
+    part = np.take((fields % parts).astype(np.uint8), _differ(words, rbits if side else lbits, 1))
+    return [np.compress(part == k, words) for k in range(parts)]
+
+
+def _join(m, middle, lo, hi, left_words, right_words):
+    """Encodings in [lo, hi) of class `middle` with AACS zero at every shift in _check_shifts.
+
+    One pass: it keys, sorts and joins the P+ words `left_words` against
+    the P- words `right_words`, all of a half or one key part's (_key_parts).
+    """
+    if not (left_words.size and right_words.size):
+        return np.zeros(0, dtype=np.uint64)
     # A+ = -A- at shift u iff d+ + d- = t(u) = (k+(u) + k-(u)) / 2 (module
     # docstring); the left key's fields are 32 + d+, the right key's 32 + t - d-
-    lbits, rbits = sum(1 << p for p in plus), sum(1 << p for p in minus)
+    lbits, rbits, totals = _class_sums(m, middle)
     shifts = _check_shifts(m)
-    totals = [
-        ((lbits & lbits >> u).bit_count() + (rbits & rbits >> u).bit_count()) // 2 for u in shifts
-    ]
     keyed = shifts[:_KEY_SHIFTS]
     left_key = _half_key(left_words, lbits, keyed)
     left_key += np.uint64(_pack([32] * len(keyed)))
@@ -365,8 +411,7 @@ def _join(m, middle, lo, hi):
     lorder, rorder = np.argsort(left_key), np.argsort(right_key)
     left_key, right_key = left_key[lorder], right_key[rorder]
     first = np.searchsorted(left_key, right_key, side="left")
-    # drop the right keys no left key equals before the second search; the
-    # left keys are never empty (_half_words starts from the zero word)
+    # drop the right keys no left key equals before the second search
     found = left_key[np.minimum(first, left_key.size - 1)] == right_key
     rorder, right_key, first = rorder[found], right_key[found], first[found]
     count = np.searchsorted(left_key, right_key, side="right") - first
@@ -384,11 +429,12 @@ def _join(m, middle, lo, hi):
 
 
 def _search(spec, progress, jobs, join_map):
-    """The search body: cut [lo, hi) into `jobs` sub-ranges, join, then verify here.
+    """The search body: join each class in `jobs` key parts, then verify here.
 
-    join_map(_join, ...) runs the passes, one per sub-range and middle class
-    in _MIDDLES[mid_abs], and yields their matches in pass order; the
-    matches are filtered, grouped and verified once, in the calling thread.
+    For each middle class in _MIDDLES[mid_abs], join_map(f, ...) lists and
+    splits the class's two halves (_key_parts), then runs its passes, one
+    per key part, and yields their matches in part order. The matches are
+    filtered, grouped and verified once, in the calling thread.
     """
     warnings = []
     if golay_factorization(spec.m) is not None:
@@ -398,16 +444,19 @@ def _search(spec, progress, jobs, join_map):
 
     t0 = time.monotonic()
     lo, hi = spec.shard_range
-    cuts = [lo + k * (hi - lo) // jobs for k in range(jobs + 1)]
     middles = _MIDDLES.get(spec.mid_abs, ())
-    passes = [(spec.m, middle, a, b) for a, b in zip(cuts, cuts[1:]) for middle in middles]
+    passes = jobs * len(middles)
     found = [np.zeros(0, dtype=np.uint64)]  # np.concatenate needs one array
-    if passes:
-        for k, cands in enumerate(join_map(_join, *zip(*passes)), 1):
+    for middle in middles:
+        # each half listed and split on a worker, whose join then reuses the
+        # memory the listing frees
+        lefts, rights = join_map(partial(_key_parts, spec.m, middle, lo, hi, jobs), (0, 1))
+        for cands in join_map(partial(_join, spec.m, middle, lo, hi), lefts, rights):
             found.append(cands)
             if progress is not None:
-                progress(k * (hi - lo) // len(passes), hi - lo)
-    elif progress is not None:
+                progress((len(found) - 1) * (hi - lo) // passes, hi - lo)
+        del lefts, rights  # before the next class's halves are listed
+    if not passes and progress is not None:
         progress(hi - lo, hi - lo)
     cands = np.concatenate(found)
     survivors = _scan_block(cands, spec.m, spec.mid_abs)
@@ -436,21 +485,19 @@ def run_search(spec, progress=None):
 
 
 def run_search_parallel(spec, jobs, progress=None):
-    """run_search with the shard's joins spread over `jobs` worker threads.
+    """run_search with each joined class's join split over `jobs` worker threads.
 
-    With jobs <= 1 the search runs via run_search(spec, progress).
-    Otherwise the shard is cut into `jobs` contiguous sub-ranges, and the
-    passes (one per sub-range and joined middle class) run on `jobs`
-    threads started for this call, or in turn in the calling thread when
-    spec.m < _THREADS_MIN_M (module docstring). `progress` is called once
-    per pass, in pass order, from the calling thread. The threads are
-    joined before the call returns or raises; an exception from `progress`
-    cancels the passes not yet started.
+    With jobs <= 1, or below M = _THREADS_MIN_M (module docstring), the
+    search runs via run_search(spec, progress): one pass per joined class.
+    Otherwise threads started for this call list each class's halves once
+    and split them into `jobs` key parts, and run one pass per class and
+    key part, each keying, sorting and joining only its part's words.
+    `progress` is called once per pass, in pass order, from the calling
+    thread. The threads are joined before the call returns or raises; an
+    exception from `progress` cancels the passes not yet started.
     """
-    if jobs <= 1:
+    if jobs <= 1 or spec.m < _THREADS_MIN_M:
         return run_search(spec, progress)
-    if spec.m < _THREADS_MIN_M:
-        return _search(spec, progress, jobs, map)
     pool = ThreadPoolExecutor(max_workers=jobs)
     try:
         return _search(spec, progress, jobs, pool.map)

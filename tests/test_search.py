@@ -17,6 +17,7 @@ from czcp.search import (
     _decode,
     _halves,
     _join,
+    _key_parts,
     _key_pair,
     _scan_block,
     _search,
@@ -150,9 +151,15 @@ def test_aacs_vanishes_above_half_shift():
             assert all(ref_aacs(pair, u) == 0 for u in range(m // 2 + 1, m)), m
 
 
+def _class_join(m, middle, lo, hi):
+    """Class `middle`'s join over [lo, hi) as one pass, as run_search runs it."""
+    (left,), (right,) = (_key_parts(m, middle, lo, hi, 1, side) for side in (0, 1))
+    return _join(m, middle, lo, hi, left, right)
+
+
 def _whole_join(m):
     space = SearchSpec(m=m, allow_large=True).space
-    return np.sort(np.concatenate([_join(m, middle, 0, space) for middle in range(4)]))
+    return np.sort(np.concatenate([_class_join(m, middle, 0, space) for middle in range(4)]))
 
 
 def _sign(word, j):
@@ -191,7 +198,7 @@ def test_class2_matches_are_perfect():
     # search's width check (M/2-1) would drop
     sizes = {}
     for m in range(4, 33, 2):
-        joined = _join(m, 2, 0, SearchSpec(m=m, allow_large=True).space)
+        joined = _class_join(m, 2, 0, SearchSpec(m=m, allow_large=True).space)
         sizes[m] = joined.size
         for v in joined:
             verdict = classify(_word_pair(*_decode(int(v), m), m))
@@ -283,6 +290,21 @@ def test_join_compares_shifts_past_the_key(monkeypatch):
             assert np.array_equal(_whole_join(m), ref), (key_shifts, m)
 
 
+def test_half_key_blocks_build_the_same_key(monkeypatch):
+    # _half_key keys _KEY_BLOCK words at a time; blocks that do not divide
+    # the half, down to one word, give the key and the join of one block
+    import czcp.search as search_mod
+
+    want = {m: scan_space(m, None) for m in range(4, 17, 2)}
+    words = np.arange(1000, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    whole = search_mod._half_key(words, (1 << 40) - 1, range(1, 11))
+    for block in (1, 3, 64):
+        monkeypatch.setattr(search_mod, "_KEY_BLOCK", block)
+        assert np.array_equal(search_mod._half_key(words, (1 << 40) - 1, range(1, 11)), whole)
+        for m, ref in want.items():
+            assert np.array_equal(_whole_join(m), ref), (block, m)
+
+
 def test_shard_filter_keeps_join_encodings(monkeypatch):
     import czcp.search as search_mod
 
@@ -325,13 +347,13 @@ def test_shard_sliced_joins_partition_the_whole_join(monkeypatch):
     for m in range(2, 21, 2):
         for middle in range(4):
             space = SearchSpec(m=m).space
-            whole = np.sort(_join(m, middle, 0, space))
+            whole = np.sort(_class_join(m, middle, 0, space))
             whole_right = sizes[1]
             for shards in (1, 2, 3, 4, 7):
                 parts = []
                 for i in range(shards):
                     lo, hi = SearchSpec(m=m, shards=shards, shard_index=i).shard_range
-                    part = _join(m, middle, lo, hi)
+                    part = _class_join(m, middle, lo, hi)
                     assert np.all((part >= lo) & (part < hi)), (m, middle, shards, i)
                     parts.append(part)
                 assert np.array_equal(np.sort(np.concatenate(parts)), whole)
@@ -341,6 +363,32 @@ def test_shard_sliced_joins_partition_the_whole_join(monkeypatch):
                     assert max(sizes[3::2]) <= whole_right // shards + 8, shards
                 del sizes[2:]
             sizes.clear()
+
+
+def test_key_parts_partition_the_join():
+    # a pass joins only the words whose shift-1 key field is its part mod
+    # the part count; the field is equal on both sides of every match, so
+    # the parts' matches are disjoint and add up to the one-part join
+    for m in range(2, 21, 2):
+        for middle in range(4):
+            for shards, index in ((1, 0), (3, 1)):
+                lo, hi = SearchSpec(m=m, shards=shards, shard_index=index).shard_range
+                whole = np.sort(_class_join(m, middle, lo, hi))
+                for parts in (2, 3):
+                    lefts, rights = (_key_parts(m, middle, lo, hi, parts, side) for side in (0, 1))
+                    got = [_join(m, middle, lo, hi, *words) for words in zip(lefts, rights)]
+                    union = np.concatenate(got)
+                    assert np.unique(union).size == union.size, (m, middle, index, parts)
+                    assert np.array_equal(np.sort(union), whole), (m, middle, index, parts)
+                    for side, split in enumerate((lefts, rights)):
+                        (words,) = _key_parts(m, middle, lo, hi, 1, side)
+                        assert np.array_equal(np.sort(np.concatenate(split)), np.sort(words))
+                        if m == 2:
+                            # no shift to key on: every word is in part 0
+                            assert all(part.size == 0 for part in split[1:])
+                        elif m >= 8:
+                            # the split is real: no part holds every word of a half
+                            assert max(part.size for part in split) < words.size, (m, middle)
 
 
 @pytest.fixture(scope="module")
@@ -470,22 +518,45 @@ def test_length_limit():
 
 def test_progress_callback():
     # one call per join pass, nondecreasing, ending at the shard's count: one
-    # per joined middle class in one process, that many per sub-range under
-    # run_search_parallel, and one call when mid_abs leaves no class to join
-    for jobs in (1, 2):
-        for spec, classes in (
-            (SearchSpec(m=12, mid_abs=2), 1),
-            (SearchSpec(m=12, shards=3, shard_index=1), 2),
-            (SearchSpec(m=12, mid_abs=0), 1),
-            (SearchSpec(m=12, mid_abs=6), 0),
-        ):
-            lo, hi = spec.shard_range
-            calls = []
-            run_search_parallel(spec, jobs, lambda done, total: calls.append((done, total)))
-            assert len(calls) == max(jobs * classes, 1)
-            assert all(total == hi - lo for _, total in calls)
-            done = [d for d, _ in calls]
-            assert done == sorted(done) and done[-1] == hi - lo
+    # per joined middle class, and one call when mid_abs leaves no class to
+    # join; below _THREADS_MIN_M run_search_parallel is run_search, call for call
+    for spec, classes in (
+        (SearchSpec(m=12, mid_abs=2), 1),
+        (SearchSpec(m=12, shards=3, shard_index=1), 2),
+        (SearchSpec(m=12, mid_abs=0), 1),
+        (SearchSpec(m=12, mid_abs=6), 0),
+    ):
+        lo, hi = spec.shard_range
+        calls = []
+        run_search(spec, lambda done, total: calls.append((done, total)))
+        assert len(calls) == max(classes, 1)
+        assert all(total == hi - lo for _, total in calls)
+        done = [d for d, _ in calls]
+        assert done == sorted(done) and done[-1] == hi - lo
+        for jobs in (1, 2, 3):
+            _, got = _progress_calls(lambda p: run_search_parallel(spec, jobs, p))
+            assert got == calls, (spec, jobs)
+
+
+def test_join_runs_once_per_class_below_thread_length(monkeypatch):
+    import czcp.search as search_mod
+
+    joins = []
+    real = search_mod._join
+
+    def counting(m, middle, *args):
+        joins.append(middle)
+        return real(m, middle, *args)
+
+    monkeypatch.setattr(search_mod, "_join", counting)
+    for mid_abs in (None, 0, 2, 4, 6):
+        spec = SearchSpec(m=24, mid_abs=mid_abs, allow_large=True)
+        want = run_search(spec)
+        assert joins == list(_MIDDLES.get(mid_abs, ())), mid_abs
+        joins.clear()
+        assert _texts(run_search_parallel(spec, 2)) == _texts(want)
+        assert joins == list(_MIDDLES.get(mid_abs, ())), mid_abs
+        joins.clear()
 
 
 def test_seed_class_counts_stable():
@@ -510,7 +581,7 @@ def _texts(result):
 
 
 def test_parallel_matches_single_below_thread_length():
-    # below _THREADS_MIN_M the passes run in turn; the result is run_search's
+    # below _THREADS_MIN_M run_search_parallel is run_search
     for m in range(2, 21, 2):
         for mid_abs in (None, 0, 2, 4):
             for shards, index in ((1, 0), (3, 1)):
