@@ -192,9 +192,6 @@ def cmd_search(args):
     def progress(done, total):
         print(f"progress: {done:,}/{total:,} candidates", file=sys.stderr, flush=True)
 
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.jobs <= cpus:
-        raise SearchSpecError(f"--jobs must be in 1..{cpus} (the CPU count), got {args.jobs}")
     if args.shard is None and args.shards > 1:
         raise SearchSpecError(
             f"--shards {args.shards} runs one shard; name it with --shard 0..{args.shards - 1}"

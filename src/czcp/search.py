@@ -89,9 +89,10 @@ calling thread, which reports progress, groups and verifies them all once
 (so the names perfbench/tracer.py wraps are called on one thread).
 
 Survivors are grouped into equivalence classes on their packed sign words
-(_canonical_words), with no sequence built per survivor; each class is
-verified once, on its canonical representative, because the CZCP width and
-|mid_aacs| are the same for all 16 equivalent pairs.
+(_canonical_words), with no sequence built per survivor; each class's pair
+is parsed from its key, two ints whose M binary digits are the texts
+(_key_pair), and verified once, because the CZCP width and |mid_aacs| are
+the same for all 16 equivalent pairs.
 
 A spec whose whole space exceeds 2^24 candidates (M >= 24) is refused at
 construction, before any work starts, unless it sets allow_large. Lengths
@@ -100,6 +101,7 @@ above 40 are refused outright: the join's memory grows about 4x per +4.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -108,7 +110,7 @@ from typing import Optional
 
 import numpy as np
 
-from .sequences import BinarySequence, SequencePair
+from .sequences import SequencePair
 from .verify import czcp_width, golay_factorization
 
 _LARGE_SPACE = 1 << 24  # gate for M >= 24 (2^25 candidates and up)
@@ -228,12 +230,6 @@ def _decode(index, m):
     return x, x ^ flip
 
 
-def _word_to_sequence(word, m):
-    """The sequence whose sign word is the m-bit `word` (bit j set for -1 at j), m <= 64."""
-    bits = (np.uint64(word) >> np.arange(m, dtype=np.uint64)) & np.uint64(1)
-    return BinarySequence(1 - 2 * bits.view(np.int64))
-
-
 def _bit_reverse(word, m):
     """The m-bit word read backwards: bit j moves to bit m-1-j."""
     return int(format(word, f"0{m}b")[::-1], 2)
@@ -258,8 +254,9 @@ def _canonical_words(x, y, m):
 
 
 def _key_pair(key, m):
-    """The SequencePair whose members have the keys in `key`."""
-    return SequencePair(*(_word_to_sequence(_bit_reverse(k, m), m) for k in key))
+    """The SequencePair whose members' texts are the keys in `key` in m binary digits."""
+    signs = str.maketrans("01", "+-")
+    return SequencePair.from_texts(*(format(k, f"0{m}b").translate(signs) for k in key))
 
 
 def _check_shifts(m):
@@ -361,7 +358,7 @@ def _key_parts(m, middle, lo, hi, parts, side):
     part. A word's part is its shift-1 key field mod `parts`: 32 + d+(1) on
     the left, 32 + t(1) - d-(1) on the right, equal on every match, so no
     match crosses parts. One part is the whole half, with no partition
-    pass; at M = 2, which has no shift to key on, every word is in part 0.
+    pass; more than one is asked for only from M = _THREADS_MIN_M on.
     """
     plus, minus = _halves(m, middle)
     if side:
@@ -381,8 +378,8 @@ def _key_parts(m, middle, lo, hi, parts, side):
         words |= (derived & one) << np.uint64(h)
     else:
         words = _half_words(plus)
-    if parts == 1 or m == 2:
-        return [words] + [np.zeros(0, dtype=np.uint64)] * (parts - 1)
+    if parts == 1:
+        return [words]
     lbits, rbits, totals = _class_sums(m, middle)
     d = np.arange(64)  # every d(1) the half can have
     fields = 32 + totals[0] - d if side else 32 + d
@@ -487,16 +484,20 @@ def run_search(spec, progress=None):
 def run_search_parallel(spec, jobs, progress=None):
     """run_search with each joined class's join split over `jobs` worker threads.
 
-    With jobs <= 1, or below M = _THREADS_MIN_M (module docstring), the
+    With jobs = 1, or below M = _THREADS_MIN_M (module docstring), the
     search runs via run_search(spec, progress): one pass per joined class.
     Otherwise threads started for this call list each class's halves once
     and split them into `jobs` key parts, and run one pass per class and
     key part, each keying, sorting and joining only its part's words.
     `progress` is called once per pass, in pass order, from the calling
     thread. The threads are joined before the call returns or raises; an
-    exception from `progress` cancels the passes not yet started.
+    exception from `progress` cancels the passes not yet started. `jobs`
+    outside 1..os.cpu_count() raises SearchSpecError before any thread starts.
     """
-    if jobs <= 1 or spec.m < _THREADS_MIN_M:
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise SearchSpecError(f"--jobs must be in 1..{cpus} (the CPU count), got {jobs}")
+    if jobs == 1 or spec.m < _THREADS_MIN_M:
         return run_search(spec, progress)
     pool = ThreadPoolExecutor(max_workers=jobs)
     try:

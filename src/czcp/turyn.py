@@ -129,16 +129,22 @@ def condition_eq4_holds(first_pair, second_pair):
 
 @dataclass(frozen=True)
 class ConstructionReport:
-    """Outcome of a composition: the pair, the guarantee, and what backs it."""
+    """Outcome of a composition: the pair, the guarantee, and what backs it.
+
+    measured_width is read from the verdict, the composite's profiles.
+    """
 
     pair: SequencePair
     guaranteed_width: int
-    measured_width: int
-    basis: str  # "theorem1" or "lemma8"
-    condition_eq4: Optional[bool]
-    normalized: bool
     verdict: PairVerdict
+    basis: str = "lemma8"  # or "theorem1"
+    condition_eq4: Optional[bool] = None
+    normalized: bool = False
     warnings: tuple = field(default=())
+
+    @property
+    def measured_width(self):
+        return self.verdict.czcp_width
 
 
 def _require_gcp(pair, what="first pair"):
@@ -156,29 +162,10 @@ def _require_gcp(pair, what="first pair"):
     return (aa, bb, ab), verdict
 
 
-def _compose_report(
-    first,
-    first_correlations,
-    second,
-    second_verdict,
-    guaranteed,
-    basis="lemma8",
-    condition_eq4=None,
-    normalized=False,
-    warnings=(),
-):
-    out = turyn_compose(first, second)
-    verdict = _verdict(*composite_profiles(first_correlations, second, second_verdict))
-    return ConstructionReport(
-        pair=out,
-        guaranteed_width=guaranteed,
-        measured_width=verdict.czcp_width,
-        basis=basis,
-        condition_eq4=condition_eq4,
-        normalized=normalized,
-        verdict=verdict,
-        warnings=tuple(warnings),
-    )
+def _compose(first, first_correlations, second, second_verdict):
+    """turyn_compose(first, second) and its verdict, from the inputs' profiles."""
+    pair = turyn_compose(first, second)
+    return pair, _verdict(*composite_profiles(first_correlations, second, second_verdict))
 
 
 def _require_theorem1_seed(seed):
@@ -220,7 +207,7 @@ def construct_theorem1(gcp_pair, seed, auto_normalize=False):
     if z_a < 1:
         raise ConstructionError("gcp_zone_zero", "GCP has no cross-correlation zone")
 
-    warnings = []
+    warnings = ()
     chosen = gcp_pair
     normalized = False
     eq4 = condition_eq4_holds(gcp_pair, seed)
@@ -235,13 +222,10 @@ def construct_theorem1(gcp_pair, seed, auto_normalize=False):
     else:
         guaranteed = (m // 2 - 1) * n
         basis = "lemma8"
-        warnings.append(
-            "sign condition fails; only the compositional width (M/2-1)*N is guaranteed"
-        )
+        warnings = ("sign condition fails; only the compositional width (M/2-1)*N is guaranteed",)
 
-    return _compose_report(
-        chosen, triple, seed, seed_verdict, guaranteed, basis, eq4, normalized, warnings
-    )
+    pair, verdict = _compose(chosen, triple, seed, seed_verdict)
+    return ConstructionReport(pair, guaranteed, verdict, basis, eq4, normalized, warnings)
 
 
 def construct_lemma8(gcp_pair, czcp_pair):
@@ -250,11 +234,13 @@ def construct_lemma8(gcp_pair, czcp_pair):
     v = classify(czcp_pair)
     if v.czcp_width < 1:
         raise ConstructionError("seed_not_czcp", "second pair is not a CZCP")
-    return _compose_report(gcp_pair, triple, czcp_pair, v, gcp_pair.n * v.czcp_width)
+    pair, verdict = _compose(gcp_pair, triple, czcp_pair, v)
+    return ConstructionReport(pair, gcp_pair.n * v.czcp_width, verdict)
 
 
 def construct_gcp(first_gcp, second_gcp):
     """Compose two GCPs into a GCP of the product length."""
     triple = _require_gcp(first_gcp, "first pair")[0]
     v = _require_gcp(second_gcp, "second pair")[1]
-    return _compose_report(first_gcp, triple, second_gcp, v, first_gcp.n * v.czcp_width)
+    pair, verdict = _compose(first_gcp, triple, second_gcp, v)
+    return ConstructionReport(pair, first_gcp.n * v.czcp_width, verdict)

@@ -13,13 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from czcp.search import (
-    SearchResult,
-    SearchSpec,
-    _decode,
-    _word_to_sequence,
-    canonicalize,
-)
+from czcp.search import SearchResult, SearchSpec, _decode, canonicalize
 from czcp.sequences import BinarySequence, SequencePair
 from czcp.verify import classify
 
@@ -35,6 +29,11 @@ def random_sequence(rng, n):
 
 def random_pair(rng, n):
     return SequencePair(random_sequence(rng, n), random_sequence(rng, n))
+
+
+def word_sequence(word, m):
+    """The length-m sequence with sign word `word`: -1 at each j whose bit j is set."""
+    return BinarySequence([-1 if word >> j & 1 else 1 for j in range(m)])
 
 
 def ref_accf(a, b, u):
@@ -154,7 +153,7 @@ def check_scan_block(rng, m, sample):
     pairs = {}
     for index in chosen:
         x, y = _decode(index, m)
-        pairs[index] = SequencePair(_word_to_sequence(x, m), _word_to_sequence(y, m))
+        pairs[index] = SequencePair(word_sequence(x, m), word_sequence(y, m))
     for mid_abs in (None, 0, 2):
         want = [i for i in sorted(chosen) if ref_seed_shape(pairs[i], mid_abs)]
         assert [int(v) for v in scan_block(block, m, mid_abs)] == want, (m, mid_abs)
@@ -169,10 +168,10 @@ def brute_force_search(m, mid_abs=None):
     canonical = {}
     scanned = 0
     for wa in range(1 << m):
-        a = _word_to_sequence(wa, m)
+        a = word_sequence(wa, m)
         for wb in range(1 << m):
             scanned += 1
-            pair = SequencePair(a, _word_to_sequence(wb, m))
+            pair = SequencePair(a, word_sequence(wb, m))
             v = classify(pair)
             if not v.is_optimal or v.czcp_width != m // 2 - 1:  # width 0 (M = 2) is no CZCP
                 continue

@@ -13,6 +13,7 @@ from czcp.search import (
     _MIDDLES,
     _THREADS_MIN_M,
     SearchSpec,
+    SearchSpecError,
     _canonical_words,
     _decode,
     _halves,
@@ -21,7 +22,6 @@ from czcp.search import (
     _key_pair,
     _scan_block,
     _search,
-    _word_to_sequence,
     canonicalize,
     equivalents,
     run_search,
@@ -38,6 +38,7 @@ from conftest import (
     scan_block,
     scan_space,
     word_aacs,
+    word_sequence,
 )
 
 
@@ -65,20 +66,24 @@ def test_equivalents_of_seed_share_canonical_form():
 
 
 def _word_pair(x, y, m):
-    return SequencePair(_word_to_sequence(x, m), _word_to_sequence(y, m))
-
-
-def test_word_to_sequence_matches_per_bit_definition(rng):
-    for m in range(1, 41):
-        for word in (0, (1 << m) - 1, *(rng.getrandbits(m) for _ in range(8))):
-            want = [-1 if (word >> j) & 1 else 1 for j in range(m)]
-            assert list(_word_to_sequence(word, m)) == want, (m, word)
-            assert list(_word_to_sequence(np.uint64(word), m)) == want, (m, word)
+    return SequencePair(word_sequence(x, m), word_sequence(y, m))
 
 
 def _key_texts(key, m):
     # the key written in binary, position 0 first, is the member's text
     return tuple(format(k, f"0{m}b").translate(str.maketrans("01", "+-")) for k in key)
+
+
+def test_key_pair_matches_per_bit_definition(rng):
+    # a key's most significant of m bits is position 0, set for -1; keys
+    # wider than 64 bits (M > 64) parse the same
+    for m in range(1, 97):
+        keys = (0, (1 << m) - 1, 1 << (m - 1), 1, *(rng.getrandbits(m) for _ in range(6)))
+        for a, b in zip(keys, keys[1:]):
+            pair = _key_pair((a, b), m)
+            for member, k in zip((pair.first, pair.second), (a, b)):
+                want = [-1 if k >> (m - 1 - j) & 1 else 1 for j in range(m)]
+                assert list(member) == want, (m, k)
 
 
 def test_canonical_words_match_canonicalize_exhaustively():
@@ -94,7 +99,8 @@ def test_canonical_words_match_canonicalize_exhaustively():
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_canonical_words_match_canonicalize(data):
-    m = data.draw(st.integers(1, 20).map(lambda k: 2 * k), label="m")
+    # M up to 96: class keys are Python ints, not bounded by 64 bits
+    m = data.draw(st.integers(1, 48).map(lambda k: 2 * k), label="m")
     words = st.integers(0, (1 << m) - 1)
     x, y, x2, y2 = (data.draw(words) for _ in range(4))
     key, key2 = _canonical_words(x, y, m), _canonical_words(x2, y2, m)
@@ -109,7 +115,7 @@ def test_canonical_words_match_canonicalize(data):
 def _candidates(spec):
     lo, hi = spec.shard_range
     return [
-        SequencePair(*(_word_to_sequence(w, spec.m) for w in _decode(i, spec.m)))
+        SequencePair(*(word_sequence(w, spec.m) for w in _decode(i, spec.m)))
         for i in range(lo, hi)
     ]
 
@@ -369,7 +375,7 @@ def test_key_parts_partition_the_join():
     # a pass joins only the words whose shift-1 key field is its part mod
     # the part count; the field is equal on both sides of every match, so
     # the parts' matches are disjoint and add up to the one-part join
-    for m in range(2, 21, 2):
+    for m in range(4, 21, 2):
         for middle in range(4):
             for shards, index in ((1, 0), (3, 1)):
                 lo, hi = SearchSpec(m=m, shards=shards, shard_index=index).shard_range
@@ -383,10 +389,7 @@ def test_key_parts_partition_the_join():
                     for side, split in enumerate((lefts, rights)):
                         (words,) = _key_parts(m, middle, lo, hi, 1, side)
                         assert np.array_equal(np.sort(np.concatenate(split)), np.sort(words))
-                        if m == 2:
-                            # no shift to key on: every word is in part 0
-                            assert all(part.size == 0 for part in split[1:])
-                        elif m >= 8:
+                        if m >= 8:
                             # the split is real: no part holds every word of a half
                             assert max(part.size for part in split) < words.size, (m, middle)
 
@@ -403,6 +406,7 @@ def _four_class_search(joined, m, mid_abs):
     return [p.texts() for p in reps if m >= 4 and czcp_width(p) == m // 2 - 1]
 
 
+@pytest.mark.usefixtures("three_cpus")
 @pytest.mark.parametrize("mid_abs", [None, 0, 1, 2, 4, 6])
 def test_search_matches_four_class_reference(whole_joins, mid_abs):
     # joining only the classes mid_abs can reach loses no class; under
@@ -516,6 +520,7 @@ def test_length_limit():
         SearchSpec(m=42, allow_large=True)
 
 
+@pytest.mark.usefixtures("three_cpus")
 def test_progress_callback():
     # one call per join pass, nondecreasing, ending at the shard's count: one
     # per joined middle class, and one call when mid_abs leaves no class to
@@ -538,6 +543,7 @@ def test_progress_callback():
             assert got == calls, (spec, jobs)
 
 
+@pytest.mark.usefixtures("three_cpus")
 def test_join_runs_once_per_class_below_thread_length(monkeypatch):
     import czcp.search as search_mod
 
@@ -565,21 +571,46 @@ def test_seed_class_counts_stable():
     assert run_search(SearchSpec(m=12, mid_abs=2)).classes == 8
 
 
-def test_parallel_fanout_matches_single():
-    for spec in (SearchSpec(m=12, mid_abs=2), SearchSpec(m=12, shards=3, shard_index=1)):
-        single = run_search(spec)
-        fanned = run_search_parallel(spec, jobs=2)
-        assert [p.texts() for p in fanned.pairs] == [p.texts() for p in single.pairs]
-        assert fanned.candidates_scanned == single.candidates_scanned
-
-
 # --- worker threads --------------------------------------------------------------
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    # run_search_parallel refuses more jobs than os.cpu_count(); the tests
+    # that run 2 and 3 jobs report at least 3 CPUs, so they run on any host
+    cpus = os.cpu_count() or 1
+    monkeypatch.setattr(os, "cpu_count", lambda: max(cpus, 3))
+
+
+def test_jobs_outside_cpu_count_refused(monkeypatch):
+    # the bound is the library's: at a length that runs on threads it is
+    # refused before any thread starts, with the message the CLI reports
+    # (tests/test_cli.py checks the CLI's refusal at M = 6)
+    import czcp.search as search_mod
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search was started")
+
+    # threads start only through ThreadPoolExecutor, and every pass joins through _join
+    monkeypatch.setattr(search_mod, "ThreadPoolExecutor", no_search)
+    monkeypatch.setattr(search_mod, "_join", no_search)
+    cpus = os.cpu_count() or 1
+    spec = SearchSpec(m=_THREADS_MIN_M, allow_large=True)
+    for jobs in (0, -1, cpus + 1, 10**9):
+        message = rf"^--jobs must be in 1\.\.{cpus} \(the CPU count\), got {jobs}$"
+        with pytest.raises(SearchSpecError, match=message):
+            run_search_parallel(spec, jobs)
+    # the bound is inclusive: 1 and cpus jobs start the search
+    for jobs in (1, cpus):
+        with pytest.raises(AssertionError, match="a search was started"):
+            run_search_parallel(spec, jobs)
 
 
 def _texts(result):
     return [p.texts() for p in result.pairs]
 
 
+@pytest.mark.usefixtures("three_cpus")
 def test_parallel_matches_single_below_thread_length():
     # below _THREADS_MIN_M run_search_parallel is run_search
     for m in range(2, 21, 2):
@@ -597,6 +628,7 @@ def _progress_calls(run):
     return result, calls
 
 
+@pytest.mark.usefixtures("three_cpus")
 @pytest.mark.parametrize("m", [32, 34])
 def test_threaded_search_matches_single(m):
     assert m >= _THREADS_MIN_M
@@ -631,6 +663,7 @@ def _thread_log(monkeypatch):
     return log
 
 
+@pytest.mark.usefixtures("three_cpus")
 @pytest.mark.parametrize(("m", "threaded"), [(28, False), (30, False), (32, True), (34, True)])
 def test_join_runs_on_workers_from_thread_length(monkeypatch, m, threaded):
     log = _thread_log(monkeypatch)
@@ -647,6 +680,7 @@ def test_join_runs_on_workers_from_thread_length(monkeypatch, m, threaded):
     assert log["_scan_block"] == {here} and log["czcp_width"] <= {here}
 
 
+@pytest.mark.usefixtures("three_cpus")
 def test_failing_progress_leaves_no_thread():
     spec = SearchSpec(m=32, allow_large=True)
 
@@ -697,7 +731,11 @@ def _run_script(tmp_path, script, status):
     assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
-_FORK_AFTER_CALL = (
+# run_search_parallel refuses more jobs than os.cpu_count(); the scripts
+# that run 2 jobs in the library report at least 2 CPUs, so they run on any host
+_TWO_CPUS = "_cpus = os.cpu_count\nos.cpu_count = lambda: max(_cpus() or 1, 2)\n"
+
+_FORK_AFTER_CALL = _TWO_CPUS + (
     "import signal\n"
     "from czcp.search import SearchSpec, run_search, run_search_parallel\n"
     "spec = SearchSpec(m=32, mid_abs=2, allow_large=True)\n"
@@ -716,13 +754,13 @@ _FORK_AFTER_CALL = (
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_starts_its_own_pool(tmp_path):
+def test_forked_child_searches_on_its_own_threads(tmp_path):
     # the child of a process that has searched on threads searches on its
     # own and exits cleanly; the parent keeps searching after it
     _run_script(tmp_path, _FORK_AFTER_CALL, 0)
 
 
-_LIBRARY_EXIT = (
+_LIBRARY_EXIT = _TWO_CPUS + (
     "from czcp.search import SearchSpec, run_search_parallel\n"
     "for m in (32, 34):\n"
     "    run_search_parallel(SearchSpec(m=m, mid_abs=2, allow_large=True), 2)\n"
