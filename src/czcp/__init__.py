@@ -7,7 +7,6 @@ from .sequences import (
     BinarySequence,
     SequenceFormatError,
     SequencePair,
-    kronecker,
     parse_pair,
     parse_sequence,
     read_pair,

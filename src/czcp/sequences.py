@@ -39,6 +39,14 @@ class BinarySequence:
         arr.flags.writeable = False
         self._values = arr
 
+    @classmethod
+    def _of_valid(cls, values):
+        """A sequence over int8 `values` already known to be +-1, made read-only; no check."""
+        seq = cls.__new__(cls)
+        values.flags.writeable = False
+        seq._values = values
+        return seq
+
     @property
     def values(self):
         """Read-only int8 array view of the elements."""
@@ -48,11 +56,12 @@ class BinarySequence:
     def n(self):
         return self._values.size
 
+    # both preserve +-1, so the result skips __init__'s check
     def reverse(self):
-        return BinarySequence(self._values[::-1])
+        return BinarySequence._of_valid(self._values[::-1])
 
     def negate(self):
-        return BinarySequence(-self._values)
+        return BinarySequence._of_valid(-self._values)
 
     def to_text(self):
         return "".join("+" if v > 0 else "-" for v in self._values)
@@ -152,13 +161,3 @@ def read_pair(source):
         raise SequenceFormatError(str(exc)) from exc
     return parse_pair(text)
 
-
-def kronecker(blocks, fill):
-    """Kronecker product: the left operand indexes blocks, the right fills them.
-
-    `blocks` is a BinarySequence; `fill` may carry entries in {-1, 0, +1} as
-    produced by half-sum/half-difference vectors. Returns an int64 array of
-    length len(blocks) * len(fill).
-    """
-    x = np.asarray(fill)
-    return np.multiply.outer(blocks.values.astype(np.int64), x.astype(np.int64)).ravel()

@@ -46,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from . import correlation
-from .sequences import BinarySequence, SequencePair, kronecker
+from .sequences import BinarySequence, SequencePair
 from .verify import (
     PairVerdict,
     _middle_terms,
@@ -68,27 +68,36 @@ class ConstructionError(ValueError):
 
 
 def turyn_compose(first_pair, second_pair):
-    """Compose (a,b) of length N with (c,d) of length M into a length-M*N pair."""
-    a = first_pair.first.values.astype(np.int64)
-    b = first_pair.second.values.astype(np.int64)
-    c, d = second_pair.first, second_pair.second
+    """Compose (a,b) of length N with (c,d) of length M into a length-M*N pair.
+
+    All in int8: P and Q have entries in {-1, 0, +1} with disjoint supports,
+    so each block sum below is again +-1 and nothing overflows.
+    """
+    a, b = first_pair.first.values, first_pair.second.values
+    c, d = second_pair.first.values, second_pair.second.values
     half_sum = (a + b) // 2
     half_diff = (b - a) // 2
-    s = kronecker(c, half_sum) - kronecker(d.reverse(), half_diff)
-    t = kronecker(d, half_sum) + kronecker(c.reverse(), half_diff)
-    return SequencePair(BinarySequence(s), BinarySequence(t))
+    s = np.multiply.outer(c, half_sum)
+    s -= np.multiply.outer(d[::-1], half_diff)
+    t = np.multiply.outer(d, half_sum)
+    t += np.multiply.outer(c[::-1], half_diff)
+    return SequencePair(BinarySequence(s.ravel()), BinarySequence(t.ravel()))
 
 
-def _add_block_product(blocks, y, z):
+def _add_block_product(blocks, y, z, first=False):
     """Add the coefficients of Y(z^N)*Z(z) at z^0..z^(MN-1) into blocks, an (M, N) array.
 
     y holds Y's coefficients at w^0..w^(M-1), the only ones these shifts
     reach, and z holds Z's at z^(1-N)..z^(N-1) in _correlate's full layout.
     Shift qN + r with 0 <= r < N collects Y_q*Z_r and, for r >= 1,
-    Y_(q+1)*Z_(r-N).
+    Y_(q+1)*Z_(r-N). With first=True the product is written over blocks,
+    whose contents are ignored, instead of added to them.
     """
     n = blocks.shape[1]
-    blocks += np.multiply.outer(y, z[n - 1 :])
+    if first:
+        np.multiply.outer(y, z[n - 1 :], out=blocks)
+    else:
+        blocks += np.multiply.outer(y, z[n - 1 :])
     blocks[:-1, 1:] += np.multiply.outer(y[1:], z[: n - 1])
 
 
@@ -110,11 +119,12 @@ def composite_profiles(first_correlations, second_pair, second_verdict):
     ba = ab[::-1]
     pq = (ab - ba + bb - aa) // 4  # rho(P, Q; u)
     squares = corr(c, c.reverse()) - corr(d, d.reverse())  # w^(M-1)*(C*^2 - D*^2)(w)
-    aacs = np.zeros(m * n, dtype=np.int64)
-    accs = np.zeros(m * n, dtype=np.int64)
-    _add_block_product(aacs.reshape(m, n), second_verdict.aacs, (aa + bb) // 2)
+    # the first product of each profile is written over the empty array, not added
+    aacs = np.empty(m * n, dtype=np.int64)
+    accs = np.empty(m * n, dtype=np.int64)
+    _add_block_product(aacs.reshape(m, n), second_verdict.aacs, (aa + bb) // 2, first=True)
     blocks = accs.reshape(m, n)
-    _add_block_product(blocks, second_verdict.accs, (ab + ba) // 2)
+    _add_block_product(blocks, second_verdict.accs, (ab + ba) // 2, first=True)
     _add_block_product(blocks, squares[m - 1 :], pq)  # X(z)
     _add_block_product(blocks, squares[m - 1 :: -1], pq[::-1])  # X(1/z)
     return aacs, accs

@@ -126,22 +126,26 @@ def _verdict(aacs, accs):
     The one place where profiles become widths. Index j of aacs[1:] is
     shift j+1. The CZCP width is capped by N/2, by the last shift before
     AACS first turns nonzero, and by N-1 minus the last shift at which
-    AACS or ACCS is nonzero. The verdict keeps both arrays and marks them
-    read-only.
+    AACS or ACCS is nonzero: the index of the first nonzero of their
+    reversed tails, read over the last N/2 shifts only, since an earlier
+    one cannot cap the width below N/2. The verdict keeps both arrays and
+    marks them read-only.
     """
     n = aacs.size
-    head = np.flatnonzero(aacs[1:])
+    h = n // 2
+    (head,) = aacs[1:].nonzero()
     z_zcp = int(head[0]) + 1 if head.size else n
-    tail = np.flatnonzero(aacs[1:] | accs[1:])  # integer OR: zero only where both are
-    last = int(tail[-1]) + 1 if tail.size else 0
-    z = min(n // 2, z_zcp - 1, n - 1 - last)
+    # shifts N-1 down to N-h, the only ones that can cap the width below h;
+    # integer OR: zero only where both are
+    (tail,) = (aacs[: n - 1 - h : -1] | accs[: n - 1 - h : -1]).nonzero()
+    z = min(h, z_zcp - 1, int(tail[0]) if tail.size else h)
     if n % 2:
         perfect, ratio, z_max, mid = False, None, None, None
     else:
-        perfect = z == n // 2
-        z_max = n // 2 if perfect else n // 2 - 1
+        perfect = z == h
+        z_max = h if perfect else h - 1
         ratio = Fraction(z, z_max) if z else Fraction(0)
-        mid = int(aacs[n // 2])
+        mid = int(aacs[h])
     aacs.setflags(write=False)
     accs.setflags(write=False)
     return PairVerdict(

@@ -59,6 +59,23 @@ def ref_accs(pair, u):
     return ref_accf(a, b, u) + ref_accf(b, a, u)
 
 
+def ref_turyn_compose(first, second):
+    """Turyn's composition entry by entry, as two lists of ints.
+
+    With P = (a+b)/2 and Q = (b-a)/2 for first = (a, b) of length N, and
+    second = (c, d) of length M, entry qN + r is c_q P_r - d_(M-1-q) Q_r in s
+    and d_q P_r + c_(M-1-q) Q_r in t.
+    """
+    a, b = list(first.first), list(first.second)
+    c, d = list(second.first), list(second.second)
+    n, m = len(a), len(c)
+    p = [(a[r] + b[r]) // 2 for r in range(n)]
+    q = [(b[r] - a[r]) // 2 for r in range(n)]
+    s = [c[i] * p[r] - d[m - 1 - i] * q[r] for i in range(m) for r in range(n)]
+    t = [d[i] * p[r] + c[m - 1 - i] * q[r] for i in range(m) for r in range(n)]
+    return s, t
+
+
 def ref_zcp_width(pair):
     """Largest Z with AACS zero strictly below Z, by direct scan."""
     n = pair.n

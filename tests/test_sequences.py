@@ -5,7 +5,6 @@ from czcp.sequences import (
     BinarySequence,
     SequenceFormatError,
     SequencePair,
-    kronecker,
     parse_pair,
     parse_sequence,
 )
@@ -109,21 +108,13 @@ def test_reverse_negate_commute(rng):
     for _ in range(50):
         s = random_sequence(rng, rng.randint(1, 30))
         assert s.reverse().negate() == s.negate().reverse()
-
-
-def test_kronecker_two_blocks():
-    out = kronecker(BinarySequence([1, -1]), np.array([0, -1]))
-    assert list(out) == [0, -1, 0, 1]
-
-
-def test_kronecker_identity_block(rng):
-    x = np.array([rng.choice((-1, 0, 1)) for _ in range(9)])
-    assert list(kronecker(BinarySequence([1]), x)) == list(x)
-
-
-def test_kronecker_length():
-    out = kronecker(parse_sequence("+--++-"), np.zeros(10, dtype=int))
-    assert out.size == 60
+        # unchecked, but equal to the checked sequences, int8 and read-only
+        values = np.array(list(s))
+        for got, want in ((s.reverse(), values[::-1]), (s.negate(), -values)):
+            assert got == BinarySequence(want)
+            assert got.values.dtype == np.int8
+            with pytest.raises(ValueError):
+                got.values[0] = 1
 
 
 def test_pair_requires_equal_lengths():

@@ -17,7 +17,7 @@ from czcp.turyn import (
 )
 from czcp.verify import classify, czcp_width, is_gcp
 
-from conftest import random_pair
+from conftest import random_pair, ref_turyn_compose
 
 GCP2 = SequencePair.from_texts("+-", "--")
 
@@ -364,6 +364,23 @@ _PAIRS = st.integers(1, 40).flatmap(
 )
 
 
+def _pair(values):
+    return SequencePair(BinarySequence(values[0]), BinarySequence(values[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(first=_PAIRS, second=_PAIRS)
+def test_compose_matches_definition(first, second):
+    # any +-1 pairs, lengths 1 to 40, odd lengths included
+    first, second = _pair(first), _pair(second)
+    out = turyn_compose(first, second)
+    for got, want in zip((out.first, out.second), ref_turyn_compose(first, second)):
+        assert list(got) == want
+        assert got.values.dtype == np.int8
+        with pytest.raises(ValueError):
+            got.values[0] = 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(first=_PAIRS, second=_PAIRS)
 @example(first=([1], [-1]), second=([-1], [-1]))
@@ -371,10 +388,7 @@ _PAIRS = st.integers(1, 40).flatmap(
 @example(first=([1, -1, -1, 1, 1, 1, -1], [-1, 1, 1, 1, -1, 1, 1]), second=([1], [-1]))
 def test_composite_profiles_match_direct_on_random_pairs(first, second):
     # any +-1 pairs: lengths 1 and odd lengths included, no GCP or CZCP needed
-    def pair(values):
-        return SequencePair(BinarySequence(values[0]), BinarySequence(values[1]))
-
-    assert_direct_profiles(pair(first), pair(second))
+    assert_direct_profiles(_pair(first), _pair(second))
 
 
 @pytest.mark.parametrize("n, m", [(2, 80), (4, 26), (10, 1040)])

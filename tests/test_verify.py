@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -38,9 +39,21 @@ def test_zcp_width_trivial_pair():
     assert zcp_width(SequencePair.from_texts("+", "+")) == 1
 
 
+def _edge_pairs():
+    """The width scans' edge cases: every pair of length 1 (no nonzero shift) and
+    2 (one), and every catalog GCP (AACS zero at every nonzero shift)."""
+    pairs = [
+        SequencePair(BinarySequence(a), BinarySequence(b))
+        for n in (1, 2)
+        for a in product((1, -1), repeat=n)
+        for b in product((1, -1), repeat=n)
+    ]
+    return pairs + [catalog.get(eid).pair for eid in ("GCP2", "GCP10", "GCP26")]
+
+
 def test_zcp_width_matches_brute_force(rng):
-    for _ in range(300):
-        p = random_pair(rng, rng.randint(1, 16))
+    pairs = _edge_pairs() + [random_pair(rng, rng.randint(1, 16)) for _ in range(300)]
+    for p in pairs:
         assert zcp_width(p) == ref_zcp_width(p)
 
 
@@ -58,8 +71,7 @@ def test_czcp_width_worked_example():
 
 def test_czcp_width_matches_brute_force(rng):
     hits = 0
-    for _ in range(400):
-        p = random_pair(rng, rng.randint(2, 14))
+    for p in _edge_pairs() + [random_pair(rng, rng.randint(2, 14)) for _ in range(400)]:
         w = czcp_width(p)
         assert w == ref_czcp_width(p)
         hits += w > 0
