@@ -117,6 +117,16 @@ def test_reverse_negate_commute(rng):
                 got.values[0] = 1
 
 
+def test_reverse_negate_leave_source_alone(rng):
+    for _ in range(50):
+        s = random_sequence(rng, rng.randint(1, 30))
+        before = list(s)
+        s.reverse(), s.negate()
+        assert list(s) == before
+        with pytest.raises(ValueError):
+            s.values[0] = 1
+
+
 def test_pair_requires_equal_lengths():
     with pytest.raises(ValueError):
         SequencePair(parse_sequence("+-"), parse_sequence("+-+"))

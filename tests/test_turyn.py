@@ -41,6 +41,26 @@ def test_compose_length(rng):
     assert out.n == 35
 
 
+def test_compose_with_unit_second_pair_is_identity(rng):
+    # M = 1, c = d = +1: s = P - Q = a and t = P + Q = b
+    unit = SequencePair.from_texts("+", "+")
+    for _ in range(50):
+        a = random_pair(rng, rng.randint(1, 20))
+        assert turyn_compose(a, unit) == a
+
+
+def test_compose_with_unit_first_pair(rng):
+    # N = 1: (+, +) gives P = 1, Q = 0, so (c, d) comes back; (-, +) gives
+    # P = 0, Q = 1, so (-rev(d), rev(c))
+    plus = SequencePair.from_texts("+", "+")
+    swap = SequencePair.from_texts("-", "+")
+    for _ in range(50):
+        b = random_pair(rng, rng.randint(1, 20))
+        assert turyn_compose(plus, b) == b
+        want = SequencePair(b.second.reverse().negate(), b.first.reverse())
+        assert turyn_compose(swap, b) == want
+
+
 def test_compose_always_binary(rng):
     # BinarySequence construction would reject anything outside {+1,-1}
     for _ in range(200):
