@@ -351,7 +351,12 @@ def build_parser():
         help="keep only pairs with |AACS(M/2)| equal to this (2 for seeds); "
         "only 0, 2 and 4 can occur",
     )
-    p.add_argument("--shards", type=int, default=1)
+    p.add_argument(
+        "--shards",
+        type=int,
+        default=1,
+        help="split the search by join key; each shard scans an equal share of the candidates",
+    )
     p.add_argument(
         "--shard",
         type=int,

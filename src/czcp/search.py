@@ -61,27 +61,23 @@ search therefore joins only those of classes 0 and 1 that can reach mid_abs
 unset, and none for any other value. Classes 2 and 3 are never joined.
 
 Candidates are encoded as integers (c's sign bits shifted left twice, plus
-two bits choosing the middle signs); shards are contiguous ranges of that
-integer. The high bits of an encoding are the P- half's word, so each shard
-lists only the P- words whose encodings can land in its range and keeps the
-encodings that do; a shard's passes split those words by key part, not by
-encoding range. The union of the shards' classes is the unsharded
-result, but one shard's classes can differ from what its range holds: a
-class that reaches the shard only through class 3 is found by the shard
-whose range holds its class 0 reflection. The join compares every shift
+two bits choosing the middle signs). The join compares every shift
 1..M/2-1 in full, so its matches are exactly the candidates of the joined
 classes with AACS zero there; _scan_block keeps those whose |AACS(M/2)| is
-mid_abs, which only class 1 can miss.
+mid_abs, which only class 1 can miss. M = 2 has no check shift, and its
+width M/2-1 = 0 is no CZCP, so no class is joined there.
 
 A search is a list of join passes, one per joined middle class and key
-part. Each half of a class is listed once and split into `jobs` key parts
-(_key_parts): a word's part is its shift-1 key field mod `jobs`, and the
-left and right fields are equal on every match, so no match crosses parts
-and the parts' matches add up to the class's whole join. run_search joins
-each class as one part, with no partition pass. run_search_parallel is
-run_search below M = _THREADS_MIN_M, where two threads lose to one;
-from there on it lists the two halves on two worker threads started for
-the call, and `jobs` threads key, sort and join one part each. The join is
+part. Each half of a class is listed once and split by its words' shift-1
+key field (_key_parts), which is equal on both sides of every match: with S
+shards, into S*jobs parts by the field mod S*jobs, of which shard i runs
+the `jobs` parts that are i mod S. So the shards' joins are disjoint and
+add up to the whole join, and the union of their classes is the unsharded
+result (a class can be reported by several shards). Each shard counts its
+equal share of the 2^(M+1) candidates as scanned. run_search_parallel is
+run_search below M = _THREADS_MIN_M, where two threads lose to one; from
+there on it lists the two halves on two worker threads started for the
+call, and `jobs` threads key, sort and join one part each. The join is
 numpy array work that releases the GIL for most of its time, so threads
 overlap it without copying any array between processes. A worker thread
 runs _key_parts and _join and nothing else: the matches come back to the
@@ -145,7 +141,7 @@ class LargeSearchError(SearchSpecError):
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Parameters of one search (or one shard of it)."""
+    """Parameters of one search, or of its shard `shard_index` of `shards` (module docstring)."""
 
     m: int
     mid_abs: Optional[int] = None
@@ -176,10 +172,10 @@ class SearchSpec:
         return 1 << (self.m + 1)
 
     @property
-    def shard_range(self):
-        lo = self.shard_index * self.space // self.shards
-        hi = (self.shard_index + 1) * self.space // self.shards
-        return lo, hi
+    def share(self):
+        """The shard's equal share of `space`: what it reports as scanned."""
+        i, s = self.shard_index, self.shards
+        return (i + 1) * self.space // s - i * self.space // s
 
 
 @dataclass(frozen=True)
@@ -350,24 +346,18 @@ def _class_sums(m, middle):
     return lbits, rbits, totals
 
 
-def _key_parts(m, middle, lo, hi, parts, side):
-    """One half of class `middle`, listed once and split into `parts` key parts.
+def _key_parts(m, middle, shards, index, jobs, side):
+    """One half of class `middle`, listed once; shard `index`'s `jobs` key parts of it.
 
-    Side 0 is P+, the left words; side 1 is P-, the right words, cut to
-    those whose encodings can land in [lo, hi). Returns one word array per
-    part. A word's part is its shift-1 key field mod `parts`: 32 + d+(1) on
-    the left, 32 + t(1) - d-(1) on the right, equal on every match, so no
-    match crosses parts. One part is the whole half, with no partition
-    pass; more than one is asked for only from M = _THREADS_MIN_M on.
+    Side 0 is P+, the left words; side 1 is P-, the right words. A word's
+    field is its shift-1 key field, 32 + d+(1) on the left and 32 + t(1) -
+    d-(1) on the right, equal on every match; the shard's job k takes the
+    fields that are index + shards*k mod shards*jobs. An unsharded search of
+    one job takes the whole half, with no partition pass.
     """
     plus, minus = _halves(m, middle)
     if side:
         words = _half_words(minus)
-        # the left words lie below bit M/2+1, so every encoding built from a
-        # right word R lies in [R << 1, (R << 1) + 2^(M/2+2)); drop the Rs
-        # outside [lo, hi)
-        start = words << np.uint64(1)
-        words = words[(start < hi) & (start + np.uint64(1 << (m // 2 + 2)) > lo)]
     elif middle == 0 and m >= 4:
         # c_(M/2) = -c_1 c_(M/2-1) for every match (module docstring): list P+
         # without position M/2, the last of `plus`, and derive its bit
@@ -378,17 +368,19 @@ def _key_parts(m, middle, lo, hi, parts, side):
         words |= (derived & one) << np.uint64(h)
     else:
         words = _half_words(plus)
-    if parts == 1:
+    if shards * jobs == 1:
         return [words]
     lbits, rbits, totals = _class_sums(m, middle)
-    d = np.arange(64)  # every d(1) the half can have
-    fields = 32 + totals[0] - d if side else 32 + d
-    part = np.take((fields % parts).astype(np.uint8), _differ(words, rbits if side else lbits, 1))
-    return [np.compress(part == k, words) for k in range(parts)]
+    # field -> job (`jobs`: another shard's) in Python ints, as shards * jobs can pass 2^64
+    fields = (32 + totals[0] - d if side else 32 + d for d in range(64))
+    table = [f % (shards * jobs) // shards if f % shards == index else jobs for f in fields]
+    job = np.array(table, dtype=np.min_scalar_type(jobs))  # one byte a word in `part`
+    part = np.take(job, _differ(words, rbits if side else lbits, 1))
+    return [np.compress(part == k, words) for k in range(jobs)]
 
 
-def _join(m, middle, lo, hi, left_words, right_words):
-    """Encodings in [lo, hi) of class `middle` with AACS zero at every shift in _check_shifts.
+def _join(m, middle, left_words, right_words):
+    """Encodings of class `middle` with AACS zero at every shift in _check_shifts.
 
     One pass: it keys, sorts and joins the P+ words `left_words` against
     the P- words `right_words`, all of a half or one key part's (_key_parts).
@@ -408,10 +400,9 @@ def _join(m, middle, lo, hi, left_words, right_words):
     lorder, rorder = np.argsort(left_key), np.argsort(right_key)
     left_key, right_key = left_key[lorder], right_key[rorder]
     first = np.searchsorted(left_key, right_key, side="left")
-    # drop the right keys no left key equals before the second search.
-    # Scattered masks (this one and `hit`) filter through np.compress, up to
-    # 5x faster than a boolean index; range masks, set in long runs, are
-    # about 2x faster as a boolean index, so the shard cuts keep that
+    # drop the right keys no left key equals before the second search; these
+    # scattered masks (and `hit`) filter through np.compress, up to 5x
+    # faster than a boolean index
     found = left_key[np.minimum(first, left_key.size - 1)] == right_key
     rorder, right_key, first = (np.compress(found, v) for v in (rorder, right_key, first))
     count = np.searchsorted(left_key, right_key, side="right") - first
@@ -424,17 +415,17 @@ def _join(m, middle, lo, hi, left_words, right_words):
         hit = _differ(left_words, lbits, u) + _differ(right_words, rbits, u) == t
         left_words, right_words = np.compress(hit, left_words), np.compress(hit, right_words)
     x = left_words | right_words
-    cands = (x << np.uint64(1)) | np.uint64(middle)  # bit 0 of x (c0) is clear
-    return cands[(cands >= lo) & (cands < hi)]
+    return (x << np.uint64(1)) | np.uint64(middle)  # bit 0 of x (c0) is clear
 
 
 def _search(spec, progress, jobs, join_map):
-    """The search body: join each class in `jobs` key parts, then verify here.
+    """The search body: join the shard's `jobs` key parts of each class, then verify here.
 
-    For each middle class in _MIDDLES[mid_abs], join_map(f, ...) lists and
-    splits the class's two halves (_key_parts), then runs its passes, one
-    per key part, and yields their matches in part order. The matches are
-    filtered, grouped and verified once, in the calling thread.
+    For each middle class in _MIDDLES[mid_abs], join_map(f, ...) lists the
+    class's two halves and splits off the shard's parts (_key_parts), then
+    runs its passes, one per key part, and yields their matches in part
+    order. The matches are filtered, grouped and verified once, in the
+    calling thread.
     """
     warnings = []
     if golay_factorization(spec.m) is not None:
@@ -443,32 +434,32 @@ def _search(spec, progress, jobs, join_map):
         )
 
     t0 = time.monotonic()
-    lo, hi = spec.shard_range
-    middles = _MIDDLES.get(spec.mid_abs, ())
+    # M = 2 has no check shift and its width M/2-1 = 0 is no CZCP (module docstring)
+    middles = _MIDDLES.get(spec.mid_abs, ()) if spec.m >= 4 else ()
     passes = jobs * len(middles)
     found = [np.zeros(0, dtype=np.uint64)]  # np.concatenate needs one array
     for middle in middles:
         # each half listed and split on a worker, whose join then reuses the
         # memory the listing frees
-        lefts, rights = join_map(partial(_key_parts, spec.m, middle, lo, hi, jobs), (0, 1))
-        for cands in join_map(partial(_join, spec.m, middle, lo, hi), lefts, rights):
+        key_parts = partial(_key_parts, spec.m, middle, spec.shards, spec.shard_index, jobs)
+        lefts, rights = join_map(key_parts, (0, 1))
+        for cands in join_map(partial(_join, spec.m, middle), lefts, rights):
             found.append(cands)
             if progress is not None:
-                progress((len(found) - 1) * (hi - lo) // passes, hi - lo)
+                progress((len(found) - 1) * spec.share // passes, spec.share)
         del lefts, rights  # before the next class's halves are listed
     if not passes and progress is not None:
-        progress(hi - lo, hi - lo)
+        progress(spec.share, spec.share)
     cands = np.concatenate(found)
     survivors = _scan_block(cands, spec.m, spec.mid_abs)
     keys = {_canonical_words(*_decode(int(v), spec.m), spec.m) for v in survivors}
 
     reps = [_key_pair(key, spec.m) for key in sorted(keys)]  # key order is text order
-    # one check decides a class, whose pairs share a width; width 0 (M = 2) is no CZCP
-    target = spec.m // 2 - 1
-    pairs = tuple(pair for pair in reps if target >= 1 and czcp_width(pair) == target)
+    # one check decides a class, whose pairs share a width
+    pairs = tuple(pair for pair in reps if czcp_width(pair) == spec.m // 2 - 1)
     return SearchResult(
         pairs=pairs,
-        candidates_scanned=hi - lo,
+        candidates_scanned=spec.share,
         elapsed=time.monotonic() - t0,
         warnings=tuple(warnings),
     )
@@ -479,7 +470,7 @@ def run_search(spec, progress=None):
 
     `progress` is called as progress(done, total) once per join pass (one
     per middle-sign class that mid_abs can reach), or once if no class can;
-    the last call has done == total, the shard's candidate count.
+    the last call has done == total, the shard's share of the candidates.
     """
     return _search(spec, progress, 1, map)
 
@@ -490,7 +481,7 @@ def run_search_parallel(spec, jobs, progress=None):
     With jobs = 1, or below M = _THREADS_MIN_M (module docstring), the
     search runs via run_search(spec, progress): one pass per joined class.
     Otherwise threads started for this call list each class's halves once
-    and split them into `jobs` key parts, and run one pass per class and
+    and split off the shard's `jobs` key parts, and run one pass per class and
     key part, each keying, sorting and joining only its part's words.
     `progress` is called once per pass, in pass order, from the calling
     thread. The threads are joined before the call returns or raises; an

@@ -92,6 +92,11 @@ class BinarySequence:
         return f"BinarySequence({self.to_text()!r})"
 
 
+# code point (255 for any above) -> element, 0 for a character other than '+' and '-'
+_SIGNS = np.zeros(256, dtype=np.int8)
+_SIGNS[ord("+")], _SIGNS[ord("-")] = 1, -1
+
+
 def parse_sequence(text):
     """Parse a '+'/'-' string into a BinarySequence.
 
@@ -100,18 +105,16 @@ def parse_sequence(text):
     stripped = text.rstrip("\n")
     if not stripped:
         raise SequenceFormatError("empty sequence", position=0)
-    values = np.empty(len(stripped), dtype=np.int8)
-    for i, ch in enumerate(stripped):
-        if ch == "+":
-            values[i] = 1
-        elif ch == "-":
-            values[i] = -1
-        else:
-            raise SequenceFormatError(
-                f"invalid character {ch!r} at position {i} (expected '+' or '-')",
-                position=i,
-            )
-    return BinarySequence(values)
+    # one code point per uint32; surrogatepass keeps lone surrogates as theirs
+    codes = np.frombuffer(stripped.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    values = _SIGNS[np.minimum(codes, 255)]
+    i = int((values == 0).argmax())  # the first bad position, if any
+    if not values[i]:
+        raise SequenceFormatError(
+            f"invalid character {stripped[i]!r} at position {i} (expected '+' or '-')",
+            position=i,
+        )
+    return BinarySequence._of_valid(values)
 
 
 @dataclass(frozen=True)

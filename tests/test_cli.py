@@ -213,6 +213,35 @@ def test_search_shard_with_jobs_matches_one_process(capsys, monkeypatch):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("mid_abs", ["2", "4"])
+def test_search_shards_on_threads_match_one_process(capsys, monkeypatch, mid_abs):
+    # from --length 32 on --jobs runs a shard's key parts on threads: each
+    # shard's report is its --jobs 1 report, and the shards' classes
+    # together are the unsharded search's
+    import czcp.search as search_mod
+
+    monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 2)
+    argv = ["search", "--length", "32", "--mid-abs", mid_abs, "--allow-large"]
+    code, single = run_json(capsys, *argv)
+    assert code == 0
+    results, scanned = set(), 0
+    for shard in ("0", "1"):
+        reports = []
+        for jobs in ("1", "2"):
+            shard_argv = ["--shards", "2", "--shard", shard, "--jobs", jobs]
+            code, report = run_json(capsys, *argv, *shard_argv)
+            assert code == 0
+            del report["search"]["elapsed_s"]
+            reports.append(report)
+        assert reports[0] == reports[1], shard
+        results |= {(r["first"], r["second"]) for r in reports[0]["search"]["results"]}
+        scanned += reports[0]["search"]["candidates_scanned"]
+    assert scanned == single["search"]["candidates_scanned"] == 1 << 33
+    assert sorted(results) == [(r["first"], r["second"]) for r in single["search"]["results"]]
+    # 32 is a Golay length: its 8 optimal classes all have |AACS(16)| = 4
+    assert len(results) == (8 if mid_abs == "4" else 0)
+
+
 @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1, 10**9])
 def test_search_jobs_outside_cpu_count_refused(capsys, monkeypatch, jobs):
     import czcp.search as search_mod
@@ -662,6 +691,7 @@ def _run_fuzzed(argv, files, stdin_text):
     assert "Traceback" not in err.getvalue()
     if "--json" in (argv[: argv.index("--")] if "--" in argv else argv):
         jsonschema.validate(json.loads(out.getvalue()), SCHEMA)
+    return code
 
 
 _PAIR_ARG = st.builds(_File, st.integers(0, 1)) | st.sampled_from(["-", *catalog.ids()]) | _TOKEN
@@ -712,14 +742,16 @@ def test_fuzz_catalog(ids, json_flag):
 # argparse takes any unambiguous prefix, so "--a" would be --allow-large and "--j" --jobs
 _SEARCH_TOKEN = _TOKEN.filter(lambda t: not t.startswith(("--a", "--j")))
 _SEARCH_INT = st.integers(-4, 44).map(str) | _SEARCH_TOKEN
+# shard counts past the 64 key fields, and past int64
+_SHARD_INT = _SEARCH_INT | st.sampled_from([64, 65, 2**63, 10**20]).map(str)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     length=st.none() | _SEARCH_INT,
     mid_abs=st.none() | st.integers(-2, 30).map(str) | _SEARCH_TOKEN,
-    shard=st.none() | _SEARCH_INT,
-    shards=st.none() | _SEARCH_INT,
+    shard=st.none() | _SHARD_INT,
+    shards=st.none() | _SHARD_INT,
     json_flag=st.booleans(),
     extra=st.lists(_SEARCH_TOKEN, max_size=2),
 )
@@ -735,4 +767,4 @@ def test_fuzz_search(length, mid_abs, shard, shards, json_flag, extra):
         if value is not None:
             argv += [flag, value]
     argv += ["--json"] * json_flag
-    _run_fuzzed(argv, [], "")
+    assert _run_fuzzed(argv, [], "") in (0, 2), argv

@@ -15,7 +15,9 @@ from czcp.search import (
     SearchSpec,
     SearchSpecError,
     _canonical_words,
+    _class_sums,
     _decode,
+    _differ,
     _halves,
     _join,
     _key_parts,
@@ -113,16 +115,14 @@ def test_canonical_words_match_canonicalize(data):
 
 
 def _candidates(spec):
-    lo, hi = spec.shard_range
     return [
         SequencePair(*(word_sequence(w, spec.m) for w in _decode(i, spec.m)))
-        for i in range(lo, hi)
+        for i in range(spec.space)
     ]
 
 
 def test_candidate_count_length6():
-    assert SearchSpec(m=6).space == 128
-    assert SearchSpec(m=6).shard_range == (0, 128)
+    assert SearchSpec(m=6).space == SearchSpec(m=6).share == 128
     assert len(_candidates(SearchSpec(m=6))) == 128
 
 
@@ -139,14 +139,15 @@ def test_candidates_satisfy_half_structure():
     assert [p.second[0] for p in _candidates(SearchSpec(m=2))] == [1, -1, 1, -1] * 2
 
 
-def test_candidate_shards_partition_space():
-    full = [p.texts() for p in _candidates(SearchSpec(m=6))]
-    for shards in (1, 3, 4, 7):
-        specs = [SearchSpec(m=6, shards=shards, shard_index=i) for i in range(shards)]
-        ranges = [spec.shard_range for spec in specs]
-        assert ranges[0][0] == 0 and ranges[-1][1] == 128
-        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-        assert [p.texts() for spec in specs for p in _candidates(spec)] == full
+def test_shard_shares_partition_space():
+    # a shard counts its equal share of the space as scanned, so the
+    # shards' counts add up to 2^(M+1) at any shard count
+    for shards in (1, 3, 4, 7, 64, 65, 200):
+        shares = [SearchSpec(m=6, shards=shards, shard_index=i).share for i in range(shards)]
+        assert sum(shares) == 128, shards
+        assert set(shares) <= {128 // shards, -(-128 // shards)}, shards
+    for index in (0, 3, 10**20 - 1):
+        assert SearchSpec(m=6, shards=10**20, shard_index=index).share in (0, 1)
 
 
 def test_aacs_vanishes_above_half_shift():
@@ -157,15 +158,14 @@ def test_aacs_vanishes_above_half_shift():
             assert all(ref_aacs(pair, u) == 0 for u in range(m // 2 + 1, m)), m
 
 
-def _class_join(m, middle, lo, hi):
-    """Class `middle`'s join over [lo, hi) as one pass, as run_search runs it."""
-    (left,), (right,) = (_key_parts(m, middle, lo, hi, 1, side) for side in (0, 1))
-    return _join(m, middle, lo, hi, left, right)
+def _class_join(m, middle, shards=1, index=0):
+    """Class `middle`'s join in shard `index` of `shards` as one pass, as run_search runs it."""
+    (left,), (right,) = (_key_parts(m, middle, shards, index, 1, side) for side in (0, 1))
+    return _join(m, middle, left, right)
 
 
 def _whole_join(m):
-    space = SearchSpec(m=m, allow_large=True).space
-    return np.sort(np.concatenate([_class_join(m, middle, 0, space) for middle in range(4)]))
+    return np.sort(np.concatenate([_class_join(m, middle) for middle in range(4)]))
 
 
 def _sign(word, j):
@@ -204,7 +204,7 @@ def test_class2_matches_are_perfect():
     # search's width check (M/2-1) would drop
     sizes = {}
     for m in range(4, 33, 2):
-        joined = _class_join(m, 2, 0, SearchSpec(m=m, allow_large=True).space)
+        joined = _class_join(m, 2)
         sizes[m] = joined.size
         for v in joined:
             verdict = classify(_word_pair(*_decode(int(v), m), m))
@@ -311,7 +311,8 @@ def test_half_key_blocks_build_the_same_key(monkeypatch):
             assert np.array_equal(_whole_join(m), ref), (block, m)
 
 
-def test_shard_filter_keeps_join_encodings(monkeypatch):
+def test_shard_joins_partition_the_search(monkeypatch):
+    # the shards' matches are disjoint and add up to the unsharded search's
     import czcp.search as search_mod
 
     seen = []
@@ -325,73 +326,67 @@ def test_shard_filter_keeps_join_encodings(monkeypatch):
     single = run_search(SearchSpec(m=12))
     whole = sorted(seen.pop())
     assert whole
-    for shards in (3, 7):
-        specs = [SearchSpec(m=12, shards=shards, shard_index=i) for i in range(shards)]
+    for shards in (3, 7, 64, 2**63, 10**20):
+        # the key fields lie in [0, 64): shards past the 64th join nothing
+        specs = [SearchSpec(m=12, shards=shards, shard_index=i) for i in range(min(shards, 65))]
         parts = [run_search(spec) for spec in specs]
-        for spec, cands in zip(specs, seen):
-            lo, hi = spec.shard_range
-            assert all(lo <= v < hi for v in cands)
         assert sorted(v for cands in seen for v in cands) == whole
         union = {p.texts() for part in parts for p in part.pairs}
         assert sorted(union) == [p.texts() for p in single.pairs]
         seen.clear()
 
 
-def test_shard_sliced_joins_partition_the_whole_join(monkeypatch):
-    # each shard joins only the P- words whose encodings can land in its
-    # range; the slices must still add up to the whole join
-    import czcp.search as search_mod
+def _shard_parts(m, middle, shards, index, jobs):
+    """Shard `index`'s `jobs` key parts of each half of class `middle`: (lefts, rights)."""
+    return tuple(_key_parts(m, middle, shards, index, jobs, side) for side in (0, 1))
 
-    sizes = []  # words per _half_key call: the P+ half, then the P- half
-    real = search_mod._half_key
 
-    def recording(words, *args):
-        sizes.append(words.size)
-        return real(words, *args)
-
-    monkeypatch.setattr(search_mod, "_half_key", recording)
-    for m in range(2, 21, 2):
-        for middle in range(4):
-            space = SearchSpec(m=m).space
-            whole = np.sort(_class_join(m, middle, 0, space))
-            whole_right = sizes[1]
-            for shards in (1, 2, 3, 4, 7):
-                parts = []
-                for i in range(shards):
-                    lo, hi = SearchSpec(m=m, shards=shards, shard_index=i).shard_range
-                    part = _class_join(m, middle, lo, hi)
-                    assert np.all((part >= lo) & (part < hi)), (m, middle, shards, i)
-                    parts.append(part)
-                assert np.array_equal(np.sort(np.concatenate(parts)), whole)
-                if m == 20:
-                    # a P- word's encodings span 2^(M/2+2), so only the few
-                    # words near a boundary reach two shards
-                    assert max(sizes[3::2]) <= whole_right // shards + 8, shards
-                del sizes[2:]
-            sizes.clear()
+def _same_words(a, b):
+    return np.array_equal(np.sort(a), np.sort(b))
 
 
 def test_key_parts_partition_the_join():
-    # a pass joins only the words whose shift-1 key field is its part mod
-    # the part count; the field is equal on both sides of every match, so
-    # the parts' matches are disjoint and add up to the one-part join
+    # shard i of S joins the words whose shift-1 key field is i mod S, and
+    # its J passes the fields that are i + S k mod S*J; the field is equal
+    # on both sides of every match, so the shards' joins are disjoint and
+    # add up to the class's whole join, and a shard's J parts hold exactly
+    # the words of its one-job part
     for m in range(4, 21, 2):
         for middle in range(4):
-            for shards, index in ((1, 0), (3, 1)):
-                lo, hi = SearchSpec(m=m, shards=shards, shard_index=index).shard_range
-                whole = np.sort(_class_join(m, middle, lo, hi))
-                for parts in (2, 3):
-                    lefts, rights = (_key_parts(m, middle, lo, hi, parts, side) for side in (0, 1))
-                    got = [_join(m, middle, lo, hi, *words) for words in zip(lefts, rights)]
-                    union = np.concatenate(got)
-                    assert np.unique(union).size == union.size, (m, middle, index, parts)
-                    assert np.array_equal(np.sort(union), whole), (m, middle, index, parts)
-                    for side, split in enumerate((lefts, rights)):
-                        (words,) = _key_parts(m, middle, lo, hi, 1, side)
-                        assert np.array_equal(np.sort(np.concatenate(split)), np.sort(words))
-                        if m >= 8:
-                            # the split is real: no part holds every word of a half
-                            assert max(part.size for part in split) < words.size, (m, middle)
+            whole = _class_join(m, middle)
+            (left,), (right,) = _shard_parts(m, middle, 1, 0, 1)
+            lbits, rbits, totals = _class_sums(m, middle)
+            fields = (  # each side's shift-1 key field (module docstring)
+                lambda words: 32 + _differ(words, lbits, 1).astype(np.int64),
+                lambda words: 32 + totals[0] - _differ(words, rbits, 1).astype(np.int64),
+            )
+            for shards in (1, 2, 3, 4, 7):
+                joins = []
+                for index in range(shards):
+                    one_job = _shard_parts(m, middle, shards, index, 1)
+                    joins.append(_join(m, middle, *one_job[0], *one_job[1]))
+                    if m == 20 and shards >= 2:
+                        # a shard keys only its own part of P+
+                        assert one_job[0][0].size < left.size, (middle, shards, index)
+                    for jobs in (1, 2, 3):
+                        key = (m, middle, shards, index, jobs)
+                        split = _shard_parts(m, middle, shards, index, jobs)
+                        for parts, (words,), field in zip(split, one_job, fields):
+                            assert len(parts) == jobs, key
+                            assert _same_words(np.concatenate(parts), words), key
+                            for k, part in enumerate(parts):
+                                got = field(part) % (shards * jobs)
+                                assert np.all(got == index + shards * k), key
+                        got = np.concatenate([_join(m, middle, *pair) for pair in zip(*split)])
+                        assert np.unique(got).size == got.size, key
+                        assert _same_words(got, joins[-1]), key
+                union = np.concatenate(joins)
+                assert np.unique(union).size == union.size, (m, middle, shards)
+                assert _same_words(union, whole), (m, middle, shards)
+            if m >= 8:
+                # the split is real: no part of three holds every word of a half
+                for half, parts in zip((left, right), _shard_parts(m, middle, 1, 0, 3)):
+                    assert max(part.size for part in parts) < half.size, (m, middle)
 
 
 @pytest.fixture(scope="module")
@@ -410,7 +405,7 @@ def _four_class_search(joined, m, mid_abs):
 @pytest.mark.parametrize("mid_abs", [None, 0, 1, 2, 4, 6])
 def test_search_matches_four_class_reference(whole_joins, mid_abs):
     # joining only the classes mid_abs can reach loses no class; under
-    # shards only the union is exact, as class 3 is found via class 0
+    # shards only the union is exact, as a class can be found in several
     for m, joined in whole_joins.items():
         want = _four_class_search(joined, m, mid_abs)
         spec = SearchSpec(m=m, mid_abs=mid_abs, allow_large=True)
@@ -523,21 +518,22 @@ def test_length_limit():
 @pytest.mark.usefixtures("three_cpus")
 def test_progress_callback():
     # one call per join pass, nondecreasing, ending at the shard's count: one
-    # per joined middle class, and one call when mid_abs leaves no class to
-    # join; below _THREADS_MIN_M run_search_parallel is run_search, call for call
+    # per joined middle class, and one call when no class is joined (a mid_abs
+    # no candidate has, or M = 2); below _THREADS_MIN_M run_search_parallel is
+    # run_search, call for call
     for spec, classes in (
         (SearchSpec(m=12, mid_abs=2), 1),
         (SearchSpec(m=12, shards=3, shard_index=1), 2),
         (SearchSpec(m=12, mid_abs=0), 1),
         (SearchSpec(m=12, mid_abs=6), 0),
+        (SearchSpec(m=2), 0),
     ):
-        lo, hi = spec.shard_range
         calls = []
         run_search(spec, lambda done, total: calls.append((done, total)))
         assert len(calls) == max(classes, 1)
-        assert all(total == hi - lo for _, total in calls)
+        assert all(total == spec.share for _, total in calls)
         done = [d for d, _ in calls]
-        assert done == sorted(done) and done[-1] == hi - lo
+        assert done == sorted(done) and done[-1] == spec.share
         for jobs in (1, 2, 3):
             _, got = _progress_calls(lambda p: run_search_parallel(spec, jobs, p))
             assert got == calls, (spec, jobs)

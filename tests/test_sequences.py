@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from czcp.sequences import (
     BinarySequence,
@@ -35,6 +36,45 @@ def test_parse_rejects_empty():
 
 def test_parse_allows_trailing_newline():
     assert parse_sequence("+-+\n") == parse_sequence("+-+")
+
+
+def _parse_oracle(text):
+    """parse_sequence one character at a time: the values, or the error's (message, position)."""
+    stripped = text.rstrip("\n")
+    if not stripped:
+        return "empty sequence", 0
+    values = []
+    for i, ch in enumerate(stripped):
+        if ch not in "+-":
+            return f"invalid character {ch!r} at position {i} (expected '+' or '-')", i
+        values.append(1 if ch == "+" else -1)
+    return values
+
+
+# code points past 255 that read as '+' or '-' if wrapped instead of clamped
+# (U+012B, U+012D, U+102B), lone surrogates, and NUL, '\r' and '\n'
+_NOT_SIGNS = st.sampled_from(
+    ["x", "\r", "\n", "\0", " ", "é", "ÿ", "Ā", "ī", "ĭ", "\u102b", "\ud800", "\udc2b"]
+) | st.characters()
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    signs=st.lists(st.sampled_from("+-"), max_size=40),
+    others=st.lists(st.tuples(st.integers(0, 40), _NOT_SIGNS), max_size=3),
+)
+def test_parse_matches_per_character_definition(signs, others):
+    for at, ch in others:
+        signs.insert(at, ch)
+    text = "".join(signs)
+    want = _parse_oracle(text)
+    try:
+        got = parse_sequence(text)
+    except SequenceFormatError as exc:
+        assert (str(exc), exc.position) == want, text
+    else:
+        assert list(got) == want, text
+        assert got.values.dtype == np.int8 and not got.values.flags.writeable
 
 
 def test_format_basic():
