@@ -158,9 +158,9 @@ def test_aacs_vanishes_above_half_shift():
             assert all(ref_aacs(pair, u) == 0 for u in range(m // 2 + 1, m)), m
 
 
-def _class_join(m, middle, shards=1, index=0):
-    """Class `middle`'s join in shard `index` of `shards` as one pass, as run_search runs it."""
-    (left,), (right,) = (_key_parts(m, middle, shards, index, 1, side) for side in (0, 1))
+def _class_join(m, middle):
+    """Class `middle`'s whole join as one pass, as an unsharded run_search runs it."""
+    (left,), (right,) = (_key_parts(m, middle, 1, 0, 1, side) for side in (0, 1))
     return _join(m, middle, left, right)
 
 
