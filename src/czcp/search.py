@@ -92,7 +92,8 @@ the same for all 16 equivalent pairs.
 
 A spec whose whole space exceeds 2^24 candidates (M >= 24) is refused at
 construction, before any work starts, unless it sets allow_large. Lengths
-above 40 are refused outright: the join's memory grows about 4x per +4.
+above 40 are refused outright: the join's peak memory grows about 3-3.5x
+per +4 in M (95 MB at M = 40, 287 MB at 44, 991 MB at 48, classes 0 and 1).
 """
 
 from __future__ import annotations
@@ -110,7 +111,9 @@ from .sequences import SequencePair
 from .verify import czcp_width, golay_factorization
 
 _LARGE_SPACE = 1 << 24  # gate for M >= 24 (2^25 candidates and up)
-_MAX_M = 40  # M = 40 joins up to 2^20 words a half (0.3 s, 95 MB peak unfiltered, 2-vCPU host)
+# M = 40 joins up to 2^20 words a half (0.4 s, 95 MB peak unfiltered, 2-vCPU host);
+# each +4 in M multiplies the peak by about 3-3.5
+_MAX_M = 40
 _KEY_SHIFTS = 10  # shifts packed into the join key, 6 bits each
 _KEY_BLOCK = 1 << 16  # words keyed at a time (_half_key)
 # mid_abs -> the middle classes whose joins hold every optimal class with

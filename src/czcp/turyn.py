@@ -30,8 +30,12 @@ with 4*rho(P, Q; u) = rho(a,b;u) - rho(b,a;u) + rho(b,b;u) - rho(a,a;u).
 composite_profiles evaluates the right sides from the first pair's three
 length-N correlations (a.a, b.b, a.b), the second pair's verdict, whose
 profiles are the symmetric AACS_cd and ACCS_cd at w^0..w^(M-1), and two
-length-M correlations (c.rev(c), d.rev(d)), plus O(MN) integer block adds;
-no construction correlates its length-MN output. Each input is profiled
+length-M correlations (c.rev(c), d.rev(d)). Each profile is then one
+integer matrix product: the k block products Y(w)*Z(z) it sums (k = 1 for
+the AACS; k = 3 for the ACCS: its own term, X(z) and X(1/z)) are stacked
+into an (M, 2k) matrix of Y coefficients and a (2k, N) matrix of Z
+coefficients, and their product is the profile's M blocks of N shifts.
+No construction correlates its length-MN output. Each input is profiled
 once, by the precondition check a construction makes anyway (_require_gcp
 for a GCP, classify for a seed), and the check hands its result on.
 Negating b (auto-normalization) negates a.b and leaves a.a and b.b alone.
@@ -71,7 +75,8 @@ def turyn_compose(first_pair, second_pair):
     """Compose (a,b) of length N with (c,d) of length M into a length-M*N pair.
 
     All in int8: P and Q have entries in {-1, 0, +1} with disjoint supports,
-    so each block sum below is again +-1 and nothing overflows.
+    so each block sum below is again +-1 and nothing overflows, and the
+    members skip BinarySequence's check.
     """
     a, b = first_pair.first.values, first_pair.second.values
     c, d = second_pair.first.values, second_pair.second.values
@@ -81,24 +86,28 @@ def turyn_compose(first_pair, second_pair):
     s -= np.multiply.outer(d[::-1], half_diff)
     t = np.multiply.outer(d, half_sum)
     t += np.multiply.outer(c[::-1], half_diff)
-    return SequencePair(BinarySequence(s.ravel()), BinarySequence(t.ravel()))
+    return SequencePair(BinarySequence._of_valid(s.ravel()), BinarySequence._of_valid(t.ravel()))
 
 
-def _add_block_product(blocks, y, z, first=False):
-    """Add the coefficients of Y(z^N)*Z(z) at z^0..z^(MN-1) into blocks, an (M, N) array.
+def _block_products(ys, zs):
+    """The coefficients of sum_j Y_j(z^N)*Z_j(z) at z^0..z^(MN-1), as a fresh int64 vector.
 
-    y holds Y's coefficients at w^0..w^(M-1), the only ones these shifts
-    reach, and z holds Z's at z^(1-N)..z^(N-1) in _correlate's full layout.
-    Shift qN + r with 0 <= r < N collects Y_q*Z_r and, for r >= 1,
-    Y_(q+1)*Z_(r-N). With first=True the product is written over blocks,
-    whose contents are ignored, instead of added to them.
+    Column j of ys, an (M + 1, k) array, holds Y_j at w^0..w^M (w = z^N),
+    and row j of zs, a (k, 2N) array, holds Z_j at z^-N..z^(N-1). Both
+    are profiles of length-M and length-N sequences, so Y_j at w^M and Z_j
+    at z^-N are 0. Shift qN + r with 0 <= r < N collects Y_j,q*Z_j,r and
+    Y_j,(q+1)*Z_j,(r-N), and row j of zs, read as two rows of N, is
+    Z_j,(r-N) and then Z_j,r. So an (M, 2k) matrix whose row q holds each
+    Y_j,(q+1) and Y_j,q, times zs read as a (2k, N) matrix, gives the sum
+    block by block: one integer matrix product, written over the result.
     """
-    n = blocks.shape[1]
-    if first:
-        np.multiply.outer(y, z[n - 1 :], out=blocks)
-    else:
-        blocks += np.multiply.outer(y, z[n - 1 :])
-    blocks[:-1, 1:] += np.multiply.outer(y[1:], z[: n - 1])
+    k, m, n = zs.shape[0], ys.shape[0] - 1, zs.shape[1] // 2
+    y = np.empty((m, k, 2), dtype=np.int64)
+    y[:, :, 0] = ys[1:]
+    y[:, :, 1] = ys[:-1]
+    profile = np.empty(m * n, dtype=np.int64)
+    np.matmul(y.reshape(m, 2 * k), zs.reshape(2 * k, n), out=profile.reshape(m, n))
+    return profile
 
 
 def composite_profiles(first_correlations, second_pair, second_verdict):
@@ -108,26 +117,37 @@ def composite_profiles(first_correlations, second_pair, second_verdict):
     full layout, as _require_gcp returns it, and second_verdict is the
     second pair's PairVerdict, whose profiles are AACS_cd and ACCS_cd at
     w^0..w^(M-1). Only c.rev(c) and d.rev(d) are correlated here. Evaluates
-    Turyn's identity (see the module docstring); every step is exact int64
-    arithmetic and the divisions by 2 and 4 leave no remainder. Both
-    vectors are fresh and contiguous, and the inputs are not modified.
+    Turyn's identity (see the module docstring) as one stacked integer
+    matrix product per profile (_block_products): one block product for the
+    AACS, three for the ACCS. Every step is exact int64 arithmetic: the
+    divisions by 2 and 4 leave no remainder, and with |Y| <= 2M and
+    |Z| <= N a sum of at most 6 products is at most 12*MN. Both vectors
+    are fresh and contiguous and own their data, and the inputs are not
+    modified.
     """
     aa, bb, ab = first_correlations
     c, d = second_pair.first, second_pair.second
-    n, m = (aa.size + 1) // 2, c.n
+    m, n = c.n, (aa.size + 1) // 2
     corr = correlation._correlate
-    ba = ab[::-1]
-    pq = (ab - ba + bb - aa) // 4  # rho(P, Q; u)
     squares = corr(c, c.reverse()) - corr(d, d.reverse())  # w^(M-1)*(C*^2 - D*^2)(w)
-    # the first product of each profile is written over the empty array, not added
-    aacs = np.empty(m * n, dtype=np.int64)
-    accs = np.empty(m * n, dtype=np.int64)
-    _add_block_product(aacs.reshape(m, n), second_verdict.aacs, (aa + bb) // 2, first=True)
-    blocks = accs.reshape(m, n)
-    _add_block_product(blocks, second_verdict.accs, (ab + ba) // 2, first=True)
-    _add_block_product(blocks, squares[m - 1 :], pq)  # X(z)
-    _add_block_product(blocks, squares[m - 1 :: -1], pq[::-1])  # X(1/z)
-    return aacs, accs
+    # Y_j at w^0..w^M: AACS_cd, then ACCS_cd and the w-factors of X(z) and X(1/z)
+    ys = np.zeros((m + 1, 4), dtype=np.int64)
+    ys[:m, 0] = second_verdict.aacs
+    ys[:m, 1] = second_verdict.accs
+    ys[:m, 2] = squares[m - 1 :]
+    ys[:m, 3] = squares[m - 1 :: -1]
+    # Z_j at z^-N..z^(N-1): (a.a + b.b)/2, then (a.b + b.a)/2, rho(P, Q) and its reverse
+    zs = np.zeros((4, 2 * n), dtype=np.int64)
+    full = zs[:, 1:]
+    np.add(aa, bb, out=full[0])
+    np.add(ab, ab[::-1], out=full[1])
+    np.subtract(ab, ab[::-1], out=full[2])
+    full[2] += bb
+    full[2] -= aa
+    full[3] = full[2, ::-1]
+    zs[:2] //= 2
+    zs[2:] //= 4
+    return _block_products(ys[:, :1], zs[:1]), _block_products(ys[:, 1:], zs[1:])
 
 
 def condition_eq4_holds(first_pair, second_pair):

@@ -421,13 +421,27 @@ def test_construct_gcp_profiles_with_longer_second_pair(n, m):
     assert rep.verdict == direct and rep.verdict.is_gcp
 
 
-def test_construction_verdict_arrays_match_classify():
-    # contiguous read-only int64 of length MN, owning their data like classify's
-    rep = construct_theorem1(catalog.golay_pair(10), catalog.seed("K28").pair)
+@pytest.mark.parametrize(
+    "build, first, second",
+    [
+        (construct_theorem1, catalog.golay_pair(10), catalog.seed("K28").pair),
+        (construct_lemma8, catalog.golay_pair(4), catalog.get("K48").pair),
+        (construct_gcp, catalog.golay_pair(10), catalog.golay_pair(26)),
+        # N = 1040 takes the decimal kernel for the GCP's a.a, b.b, a.b
+        (construct_theorem1, catalog.golay_pair(1040), catalog.seed("K6").pair),
+    ],
+    ids=["theorem1", "lemma8", "gcp", "theorem1-kernel"],
+)
+def test_construction_verdict_arrays_match_classify(build, first, second):
+    # fresh, contiguous, read-only int64 of length MN, owning their data like classify's
+    rep = build(first, second)
     direct = classify(rep.pair)
     assert rep.verdict == direct
-    for got, want in ((rep.verdict.aacs, direct.aacs), (rep.verdict.accs, direct.accs)):
+    profiles = (rep.verdict.aacs, rep.verdict.accs)
+    for got, want in zip(profiles, (direct.aacs, direct.accs)):
+        assert np.array_equal(got, want)
         assert got.dtype == want.dtype == np.int64
-        assert got.shape == want.shape == (280,)
-        assert got.flags.c_contiguous and not got.flags.writeable
+        assert got.shape == want.shape == (first.n * second.n,)
+        assert got.flags.c_contiguous and got.flags.owndata and not got.flags.writeable
         assert got.base is None and want.base is None
+    assert not np.shares_memory(*profiles)
