@@ -60,11 +60,17 @@ search therefore joins only those of classes 0 and 1 that can reach mid_abs
 (_MIDDLES): class 0 for 2, class 1 for 4 and for 0, both when mid_abs is
 unset, and none for any other value. Classes 2 and 3 are never joined.
 
-Candidates are encoded as integers (c's sign bits shifted left twice, plus
-two bits choosing the middle signs). The join compares every shift
-1..M/2-1 in full, so its matches are exactly the candidates of the joined
-classes with AACS zero there; _scan_block keeps those whose |AACS(M/2)| is
-mid_abs, which only class 1 can miss. M = 2 has no check shift, and its
+Class 1 puts M/2-1 in P- and M/2 in P+, so d_(M/2-1) = -c_(M/2-1) and
+d_(M/2) = c_(M/2), and AACS(M/2) = 2 (c_(M/2) + c_(M-1) c_(M/2-1)):
+|AACS(M/2)| is 4 when c_(M/2) = c_(M-1) c_(M/2-1) and 0 otherwise. In sign
+bits (b_j set for c_j = -1) that is b_(M/2) = b_(M-1) ^ b_(M/2-1), with
+b_(M/2) in a P+ word and b_(M-1), b_(M/2-1) in a P- word. So for mid_abs 4
+or 0 class 1's join puts b_(M/2) into bit _MID_BIT (60) of the left key and
+b_(M-1) ^ b_(M/2-1), XOR 1 for mid_abs 0, into bit 60 of the right key
+(_MIDDLES); the 6-bit fields end at bit 59 and never carry into it. The
+join compares every shift 1..M/2-1 in full, so its matches are exactly the
+candidates of the joined classes with the seed shape and the requested
+|AACS(M/2)|: every match is a survivor. M = 2 has no check shift, and its
 width M/2-1 = 0 is no CZCP, so no class is joined there.
 
 A search is a list of join passes, one per joined middle class and key
@@ -111,14 +117,16 @@ from .sequences import SequencePair
 from .verify import czcp_width, golay_factorization
 
 _LARGE_SPACE = 1 << 24  # gate for M >= 24 (2^25 candidates and up)
-# M = 40 joins up to 2^20 words a half (0.4 s, 95 MB peak unfiltered, 2-vCPU host);
+# M = 40 joins up to 2^20 words a half (0.4 s, 95 MB peak with mid_abs unset, 2-vCPU host);
 # each +4 in M multiplies the peak by about 3-3.5
 _MAX_M = 40
 _KEY_SHIFTS = 10  # shifts packed into the join key, 6 bits each
 _KEY_BLOCK = 1 << 16  # words keyed at a time (_half_key)
-# mid_abs -> the middle classes whose joins hold every optimal class with
-# that |AACS(M/2)| (module docstring); any other value has no candidate
-_MIDDLES = {None: (0, 1), 0: (1,), 2: (0,), 4: (1,)}
+# mid_abs -> (middle class, key bit) per class whose join holds every optimal
+# class with that |AACS(M/2)|, none for other values (module docstring); the key
+# bit is None, or in class 1 XORed into the right key's bit _MID_BIT (1 for 0).
+_MIDDLES = {None: ((0, None), (1, None)), 0: ((1, 1),), 2: ((0, None),), 4: ((1, 0),)}
+_MID_BIT = 60  # class 1's |AACS(M/2)| key bit, above the _KEY_SHIFTS fields
 # run_search_parallel threads its passes from this length on and is run_search
 # below it. Two threads (one pass per class and key part) against run_search,
 # medians of 21 alternating calls, two rounds, 2-vCPU host: M = 28 unset
@@ -171,7 +179,7 @@ class SearchSpec:
 
     @property
     def space(self):
-        """Total number of candidate encodings (all shards together)."""
+        """Candidates in the whole space (all shards): 2^(M-1) c words times 4 middle classes."""
         return 1 << (self.m + 1)
 
     @property
@@ -216,19 +224,6 @@ def canonicalize(pair):
     return min(equivalents(pair), key=lambda p: p.texts())
 
 
-def _decode(index, m):
-    """Candidate encoding -> packed sign words (x for c, y for d).
-
-    `index` is a Python int or a uint64 array; the words have its type.
-    """
-    x = (index >> 2) << 1  # bit j = sign of c_j, c0 = +1
-    h = m // 2
-    flip = ((1 << m) - (1 << (h + 1))) | ((index & 1) << (h - 1)) | (
-        ((index >> 1) & 1) << h
-    )
-    return x, x ^ flip
-
-
 def _bit_reverse(word, m):
     """The m-bit word read backwards: bit j moves to bit m-1-j."""
     return int(format(word, f"0{m}b")[::-1], 2)
@@ -263,23 +258,9 @@ def _check_shifts(m):
     return range(1, m // 2)
 
 
-def _scan_block(indexes, m, mid_abs):
-    """The encodings in `indexes` whose |AACS(M/2)| is mid_abs; all of them if mid_abs is None.
-
-    On the joins _MIDDLES picks it drops only class 1 matches of the other
-    value. The name is a lookup site perfbench/tracer.py wraps to count
-    survivors.
-    """
-    if mid_abs is None:
-        return indexes
-    h = m // 2
-    overlap = np.uint64((1 << (m - h)) - 1)
-    pc = sum(
-        np.bitwise_count((w ^ (w >> np.uint64(h))) & overlap).astype(np.int64)
-        for w in _decode(indexes, m)
-    )
-    # AACS(M/2) = 2*(m-h) - 2*(popcount_x + popcount_y)
-    return indexes[np.abs(2 * (m - h) - 2 * pc) == mid_abs]
+def _scan_block(words):
+    """A class's join matches, unchanged: only perfbench/tracer.py's survivor lookup site."""
+    return words
 
 
 def _halves(m, middle):
@@ -361,7 +342,7 @@ def _key_parts(m, middle, shards, index, jobs, side):
     plus, minus = _halves(m, middle)
     if side:
         words = _half_words(minus)
-    elif middle == 0 and m >= 4:
+    elif middle == 0:
         # c_(M/2) = -c_1 c_(M/2-1) for every match (module docstring): list P+
         # without position M/2, the last of `plus`, and derive its bit
         h = m // 2
@@ -382,11 +363,23 @@ def _key_parts(m, middle, shards, index, jobs, side):
     return [np.compress(part == k, words) for k in range(jobs)]
 
 
-def _join(m, middle, left_words, right_words):
-    """Encodings of class `middle` with AACS zero at every shift in _check_shifts.
+def _mid_bit(words, positions, flip):
+    """Per word, the XOR of its bits at `positions` and `flip`, as bit _MID_BIT of a uint64.
+
+    Its temporaries die before the join sorts (one held there: +9% peak at M = 40)."""
+    out = np.full(words.size, flip << _MID_BIT, dtype=np.uint64)
+    for p in positions:
+        out ^= np.left_shift(words, np.uint64(_MID_BIT - p))
+    out &= np.uint64(1 << _MID_BIT)
+    return out
+
+
+def _join(m, middle, flip, left_words, right_words):
+    """Class `middle`'s candidates with AACS zero at every _check_shifts shift, as c's sign words.
 
     One pass: it keys, sorts and joins the P+ words `left_words` against
     the P- words `right_words`, all of a half or one key part's (_key_parts).
+    A `flip` other than None (_MIDDLES) adds class 1's |AACS(M/2)| key bit.
     """
     if not (left_words.size and right_words.size):
         return np.zeros(0, dtype=np.uint64)
@@ -399,6 +392,10 @@ def _join(m, middle, left_words, right_words):
     left_key += np.uint64(_pack([32] * len(keyed)))
     right_key = _half_key(right_words, rbits, keyed)
     np.subtract(np.uint64(_pack([32 + t for t in totals[:_KEY_SHIFTS]])), right_key, out=right_key)
+    if flip is not None:
+        # b_(M/2) on the left, b_(M-1) ^ b_(M/2-1) ^ flip on the right (module docstring)
+        left_key |= _mid_bit(left_words, (m // 2,), 0)
+        right_key |= _mid_bit(right_words, (m - 1, m // 2 - 1), flip)
     # sort-join on the packed key; sorted needles keep searchsorted's lookups local
     lorder, rorder = np.argsort(left_key), np.argsort(right_key)
     left_key, right_key = left_key[lorder], right_key[rorder]
@@ -417,8 +414,7 @@ def _join(m, middle, left_words, right_words):
     for u, t in zip(shifts[_KEY_SHIFTS:], totals[_KEY_SHIFTS:]):
         hit = _differ(left_words, lbits, u) + _differ(right_words, rbits, u) == t
         left_words, right_words = np.compress(hit, left_words), np.compress(hit, right_words)
-    x = left_words | right_words
-    return (x << np.uint64(1)) | np.uint64(middle)  # bit 0 of x (c0) is clear
+    return left_words | right_words
 
 
 def _search(spec, progress, jobs, join_map):
@@ -427,8 +423,8 @@ def _search(spec, progress, jobs, join_map):
     For each middle class in _MIDDLES[mid_abs], join_map(f, ...) lists the
     class's two halves and splits off the shard's parts (_key_parts), then
     runs its passes, one per key part, and yields their matches in part
-    order. The matches are filtered, grouped and verified once, in the
-    calling thread.
+    order. Every match is a survivor; they are grouped and verified once,
+    in the calling thread.
     """
     warnings = []
     if golay_factorization(spec.m) is not None:
@@ -440,22 +436,25 @@ def _search(spec, progress, jobs, join_map):
     # M = 2 has no check shift and its width M/2-1 = 0 is no CZCP (module docstring)
     middles = _MIDDLES.get(spec.mid_abs, ()) if spec.m >= 4 else ()
     passes = jobs * len(middles)
-    found = [np.zeros(0, dtype=np.uint64)]  # np.concatenate needs one array
-    for middle in middles:
+    done = 0
+    keys = set()
+    for middle, flip in middles:
         # each half listed and split on a worker, whose join then reuses the
         # memory the listing frees
         key_parts = partial(_key_parts, spec.m, middle, spec.shards, spec.shard_index, jobs)
         lefts, rights = join_map(key_parts, (0, 1))
-        for cands in join_map(partial(_join, spec.m, middle), lefts, rights):
-            found.append(cands)
+        found = []
+        for words in join_map(partial(_join, spec.m, middle, flip), lefts, rights):
+            found.append(words)
+            done += 1
             if progress is not None:
-                progress((len(found) - 1) * spec.share // passes, spec.share)
+                progress(done * spec.share // passes, spec.share)
         del lefts, rights  # before the next class's halves are listed
+        _, rbits, _ = _class_sums(spec.m, middle)  # d's word is c's ^ the P- mask
+        survivors = _scan_block(np.concatenate(found)).tolist()
+        keys.update(_canonical_words(x, x ^ rbits, spec.m) for x in survivors)
     if not passes and progress is not None:
         progress(spec.share, spec.share)
-    cands = np.concatenate(found)
-    survivors = _scan_block(cands, spec.m, spec.mid_abs)
-    keys = {_canonical_words(*_decode(int(v), spec.m), spec.m) for v in survivors}
 
     reps = [_key_pair(key, spec.m) for key in sorted(keys)]  # key order is text order
     # one check decides a class, whose pairs share a width

@@ -3,9 +3,9 @@
 The reference implementations here are deliberately written from the bare
 definitions (explicit index loops, no numpy, no shared code with the
 package) so the package's optimized paths are checked against something
-that cannot inherit their bugs. The exception is scan_block, the
-bit-parallel scanner the search's join is tested against; check_scan_block
-checks it against ref_seed_shape.
+that cannot inherit their bugs. The exception is numpy in scan_block, the
+bit-parallel scanner the search's join is tested against, and in decode,
+its candidate decoder; check_scan_block checks both against ref_seed_shape.
 """
 
 import random
@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from czcp.search import SearchResult, SearchSpec, _decode, canonicalize
+from czcp.search import SearchResult, SearchSpec, canonicalize
 from czcp.sequences import BinarySequence, SequencePair
 from czcp.verify import classify
 
@@ -123,6 +123,30 @@ def word_aacs(x, y, m, u):
     return 2 * (m - u) - 2 * pc
 
 
+def decode(index, m):
+    """Candidate `index` of length m -> sign words (x of c, y of d), bit j set for -1 at j.
+
+    The candidate space's definition: c_0 = +1 and bits 2.. of the index are
+    c_1..c_(M-1); d_j = c_j for j < M/2-1 and d_j = -c_j for j > M/2, and
+    index bits 0 and 1 set d_(M/2-1) = -c_(M/2-1) and d_(M/2) = -c_(M/2).
+    `index` is a Python int or a uint64 array; the words have its type.
+    """
+    h = m // 2
+    x = index >> 2 << 1
+    y = index & 0
+    for j in range(m):
+        if j < h - 1:
+            negated = 0
+        elif j == h - 1:
+            negated = index & 1
+        elif j == h:
+            negated = index >> 1 & 1
+        else:
+            negated = 1
+        y |= (x >> j & 1 ^ negated) << j
+    return x, y
+
+
 def scan_block(indexes, m, mid_abs):
     """Encodings in the uint64 array `indexes` whose pairs have the seed shape.
 
@@ -132,7 +156,7 @@ def scan_block(indexes, m, mid_abs):
     sums to zero for every candidate. The reference the search's join is
     tested against.
     """
-    x, y = _decode(indexes, m)
+    x, y = decode(indexes, m)
     keep = indexes
     for u in range(1, m // 2 + 1):
         aacs = word_aacs(x, y, m, u)
@@ -169,7 +193,7 @@ def check_scan_block(rng, m, sample):
     block = np.array(sorted(chosen), dtype=np.uint64)
     pairs = {}
     for index in chosen:
-        x, y = _decode(index, m)
+        x, y = decode(index, m)
         pairs[index] = SequencePair(word_sequence(x, m), word_sequence(y, m))
     for mid_abs in (None, 0, 2):
         want = [i for i in sorted(chosen) if ref_seed_shape(pairs[i], mid_abs)]

@@ -51,8 +51,9 @@ def test_traced_construct_run_is_correct():
 
 
 def test_traced_search_run_is_correct():
-    # per M = 24 search: middle class 0's 8 survivors fall into 4 classes,
-    # and each class is verified once, on its representative
+    # per M = 24 search: middle class 0's 8 join matches, every one a
+    # survivor, fall into 4 classes, and each class is verified once, on
+    # its representative
     metrics = _traced_run("search-m24")
     assert metrics["search.survivors"]["value"] == 8
     assert metrics["verify.width_calls"]["value"] == 4

@@ -16,13 +16,11 @@ from czcp.search import (
     SearchSpecError,
     _canonical_words,
     _class_sums,
-    _decode,
     _differ,
     _halves,
     _join,
     _key_parts,
     _key_pair,
-    _scan_block,
     _search,
     canonicalize,
     equivalents,
@@ -34,6 +32,7 @@ from czcp.verify import classify, czcp_width, lemma5_structure_holds
 
 from conftest import (
     brute_force_search,
+    decode,
     random_pair,
     ref_aacs,
     ref_seed_shape,
@@ -116,7 +115,7 @@ def test_canonical_words_match_canonicalize(data):
 
 def _candidates(spec):
     return [
-        SequencePair(*(word_sequence(w, spec.m) for w in _decode(i, spec.m)))
+        SequencePair(*(word_sequence(w, spec.m) for w in decode(i, spec.m)))
         for i in range(spec.space)
     ]
 
@@ -158,10 +157,15 @@ def test_aacs_vanishes_above_half_shift():
             assert all(ref_aacs(pair, u) == 0 for u in range(m // 2 + 1, m)), m
 
 
-def _class_join(m, middle):
-    """Class `middle`'s whole join as one pass, as an unsharded run_search runs it."""
+def _class_join(m, middle, flip=None):
+    """Class `middle`'s whole join as one pass, as an unsharded run_search runs it.
+
+    Its c words come back as candidate encodings, (x << 1) | middle (c0's
+    bit 0 is clear), so they compare exactly with conftest's scan_space.
+    """
     (left,), (right,) = (_key_parts(m, middle, 1, 0, 1, side) for side in (0, 1))
-    return _join(m, middle, left, right)
+    x = _join(m, middle, flip, left, right)
+    return (x << np.uint64(1)) | np.uint64(middle)
 
 
 def _whole_join(m):
@@ -180,12 +184,16 @@ def test_middle_class_decides_mid_aacs():
     for m in range(2, 17, 2):
         h = m // 2
         index = np.arange(SearchSpec(m=m).space, dtype=np.uint64)
-        x, y = _decode(index, m)
+        x, y = decode(index, m)
         mid = np.abs(word_aacs(x, y, m, h))
         if m >= 4:
             xs = _sign(x, h - 1) - _sign(y, h - 1)
             ys = _sign(x, h) + _sign(y, h)
             assert np.array_equal(mid, np.abs(ys + _sign(x, m - 1) * xs)), m
+            # class 1's key bit: |AACS(M/2)| = 4 exactly when c_(M/2) = c_(M-1) c_(M/2-1)
+            one = index % np.uint64(4) == 1
+            product = _sign(x, h) == _sign(x, m - 1) * _sign(x, h - 1)
+            assert np.array_equal(mid[one] == 4, product[one]), m
         seen = {k: set(mid[index % 4 == k].tolist()) for k in range(4)}
         assert seen == {0: {2}, 1: {0, 4} if m >= 4 else {0}, 2: {0}, 3: {2}}, m
         for k in range(4):
@@ -193,9 +201,14 @@ def test_middle_class_decides_mid_aacs():
     # the search joins every class that reaches mid_abs but class 3, class 0's
     # reflection, and class 2, whose matches are all perfect (next test)
     values = set().union(*reached.values())
-    assert _MIDDLES == {None: (0, 1)} | {
-        v: tuple(k for k in (0, 1) if v in reached[k]) for v in values
-    }
+    assert {v: tuple(k for k, _ in entries) for v, entries in _MIDDLES.items()} == {
+        None: (0, 1)
+    } | {v: tuple(k for k in (0, 1) if v in reached[k]) for v in values}
+    # class 1 takes the key bit, 0 for |AACS(M/2)| = 4 and 1 for 0, exactly
+    # when mid_abs picks one of the two values it reaches
+    class1 = [(v, bit) for v, entries in _MIDDLES.items() for k, bit in entries if k == 1]
+    assert class1 == [(None, None), (0, 1), (4, 0)]
+    assert all(bit is None for entries in _MIDDLES.values() for k, bit in entries if k != 1)
 
 
 def test_class2_matches_are_perfect():
@@ -207,7 +220,7 @@ def test_class2_matches_are_perfect():
         joined = _class_join(m, 2)
         sizes[m] = joined.size
         for v in joined:
-            verdict = classify(_word_pair(*_decode(int(v), m), m))
+            verdict = classify(_word_pair(*decode(int(v), m), m))
             assert verdict.is_perfect and verdict.czcp_width == m // 2, (m, int(v))
     assert {m: n for m, n in sizes.items() if n} == {4: 4, 8: 16, 16: 96, 20: 64, 32: 768}
 
@@ -246,42 +259,75 @@ def test_class0_matches_have_the_derived_middle_sign():
     for m in range(4, 23, 2):
         h = m // 2
         matches = scan_space(m, None)
-        x, _ = _decode(matches[matches % np.uint64(4) == 0], m)
+        x, _ = decode(matches[matches % np.uint64(4) == 0], m)
         assert np.array_equal(_sign(x, h), -_sign(x, 1) * _sign(x, h - 1)), m
         found += x.size
     assert found
 
 
 def test_decode_arrays_match_scalar_decode():
+    # the oracle's decoder, on uint64 arrays as scan_block calls it and on ints
     for m in range(2, 13, 2):
         space = SearchSpec(m=m).space
-        x, y = _decode(np.arange(space, dtype=np.uint64), m)
+        x, y = decode(np.arange(space, dtype=np.uint64), m)
         assert x.dtype == y.dtype == np.uint64
         assert [(int(a), int(b)) for a, b in zip(x, y)] == [
-            _decode(i, m) for i in range(space)
+            decode(i, m) for i in range(space)
         ], m
 
 
+def _search_joins(m, mid_abs):
+    """The joins a search with `mid_abs` runs, as sorted encodings (_class_join)."""
+    joins = [_class_join(m, middle, flip) for middle, flip in _MIDDLES.get(mid_abs, ())]
+    return np.sort(np.concatenate([np.zeros(0, dtype=np.uint64), *joins]))
+
+
+def _in_classes(encodings, mid_abs):
+    """The encodings of the middle classes a search with `mid_abs` joins."""
+    classes = [middle for middle, _ in _MIDDLES.get(mid_abs, ())]
+    return encodings[np.isin(encodings % np.uint64(4), classes)]
+
+
 def test_join_matches_block_scanner():
-    # includes M = 18 and 22, where no candidate survives
-    for m in range(2, 23, 2):
+    # includes M = 18 and 22, where no candidate survives; a search's joins
+    # hold exactly the scanner's matches of the classes they join
+    for m in range(4, 23, 2):
         joined = _whole_join(m)
         assert joined.dtype == np.uint64
         assert np.array_equal(joined, scan_space(m, None)), m
-        for mid_abs in (0, 2):
-            assert np.array_equal(_scan_block(joined, m, mid_abs), scan_space(m, mid_abs))
+        for mid_abs in (None, 0, 2, 4, 6):
+            want = _in_classes(scan_space(m, mid_abs), mid_abs)
+            assert np.array_equal(_search_joins(m, mid_abs), want), (m, mid_abs)
     assert scan_space(18, None).size == scan_space(22, None).size == 0
 
 
-def test_scan_block_keeps_join_matches_of_seed_shape():
-    # the join is the search's only shift check; _scan_block filters its
-    # matches on |AACS(M/2)| alone, which must agree with the definition
+def test_search_joins_hold_the_matches_of_seed_shape():
+    # the join is the search's only check before the width: with class 1's
+    # key bit its matches are exactly the joined classes' candidates that the
+    # definition accepts with the requested |AACS(M/2)|
     for m in range(4, 29, 2):
         joined = _whole_join(m)
-        pairs = [_word_pair(*_decode(int(i), m), m) for i in joined]
+        pairs = [_word_pair(*decode(int(i), m), m) for i in joined]
         for mid_abs in (None, 0, 2, 4):
             want = [int(i) for i, p in zip(joined, pairs) if ref_seed_shape(p, mid_abs)]
-            assert [int(v) for v in _scan_block(joined, m, mid_abs)] == want, (m, mid_abs)
+            want = _in_classes(np.array(want, dtype=np.uint64), mid_abs)
+            assert np.array_equal(_search_joins(m, mid_abs), want), (m, mid_abs)
+
+
+def test_class1_key_bit_joins_the_filtered_matches():
+    # at every even M <= 28, class 1's join with the key bit is the join
+    # without it filtered on |AACS(M/2)| by the oracle's scan_block
+    found = {0: 0, 4: 0}
+    for m in range(4, 29, 2):
+        plain = _class_join(m, 1)
+        for mid_abs in (0, 4):
+            ((middle, flip),) = _MIDDLES[mid_abs]
+            assert middle == 1 and flip is not None
+            got = np.sort(_class_join(m, 1, flip))
+            assert np.array_equal(got, np.sort(scan_block(plain, m, mid_abs))), (m, mid_abs)
+            found[mid_abs] += got.size
+    # both values occur, so neither side of the bit is vacuous
+    assert found[0] and found[4]
 
 
 def test_join_compares_shifts_past_the_key(monkeypatch):
@@ -294,6 +340,10 @@ def test_join_compares_shifts_past_the_key(monkeypatch):
         monkeypatch.setattr(search_mod, "_KEY_SHIFTS", key_shifts)
         for m, ref in want.items():
             assert np.array_equal(_whole_join(m), ref), (key_shifts, m)
+            # class 1's key bit holds with no key field beside it, too
+            for mid_abs in (0, 4):
+                want_mid = _in_classes(scan_space(m, mid_abs), mid_abs)
+                assert np.array_equal(_search_joins(m, mid_abs), want_mid), (key_shifts, m)
 
 
 def test_half_key_blocks_build_the_same_key(monkeypatch):
@@ -318,19 +368,20 @@ def test_shard_joins_partition_the_search(monkeypatch):
     seen = []
     real = search_mod._scan_block
 
-    def recording(cands, m, mid_abs):
-        seen.append([int(v) for v in cands])
-        return real(cands, m, mid_abs)
+    def recording(words):
+        seen.extend(int(v) for v in words)
+        return real(words)
 
     monkeypatch.setattr(search_mod, "_scan_block", recording)
     single = run_search(SearchSpec(m=12))
-    whole = sorted(seen.pop())
+    whole = sorted(seen)
     assert whole
+    seen.clear()
     for shards in (3, 7, 64, 2**63, 10**20):
         # the key fields lie in [0, 64): shards past the 64th join nothing
         specs = [SearchSpec(m=12, shards=shards, shard_index=i) for i in range(min(shards, 65))]
         parts = [run_search(spec) for spec in specs]
-        assert sorted(v for cands in seen for v in cands) == whole
+        assert sorted(seen) == whole
         union = {p.texts() for part in parts for p in part.pairs}
         assert sorted(union) == [p.texts() for p in single.pairs]
         seen.clear()
@@ -353,8 +404,8 @@ def test_key_parts_partition_the_join():
     # the words of its one-job part
     for m in range(4, 21, 2):
         for middle in range(4):
-            whole = _class_join(m, middle)
             (left,), (right,) = _shard_parts(m, middle, 1, 0, 1)
+            whole = _join(m, middle, None, left, right)
             lbits, rbits, totals = _class_sums(m, middle)
             fields = (  # each side's shift-1 key field (module docstring)
                 lambda words: 32 + _differ(words, lbits, 1).astype(np.int64),
@@ -364,7 +415,7 @@ def test_key_parts_partition_the_join():
                 joins = []
                 for index in range(shards):
                     one_job = _shard_parts(m, middle, shards, index, 1)
-                    joins.append(_join(m, middle, *one_job[0], *one_job[1]))
+                    joins.append(_join(m, middle, None, *one_job[0], *one_job[1]))
                     if m == 20 and shards >= 2:
                         # a shard keys only its own part of P+
                         assert one_job[0][0].size < left.size, (middle, shards, index)
@@ -377,7 +428,7 @@ def test_key_parts_partition_the_join():
                             for k, part in enumerate(parts):
                                 got = field(part) % (shards * jobs)
                                 assert np.all(got == index + shards * k), key
-                        got = np.concatenate([_join(m, middle, *pair) for pair in zip(*split)])
+                        got = np.concatenate([_join(m, middle, None, *p) for p in zip(*split)])
                         assert np.unique(got).size == got.size, key
                         assert _same_words(got, joins[-1]), key
                 union = np.concatenate(joins)
@@ -391,14 +442,14 @@ def test_key_parts_partition_the_join():
 
 @pytest.fixture(scope="module")
 def whole_joins():
-    return {m: _whole_join(m) for m in range(2, 29, 2)}
+    return {m: _whole_join(m) for m in range(4, 29, 2)}
 
 
 def _four_class_search(joined, m, mid_abs):
-    """run_search's classes from all four middle classes' joins, filtered afterwards."""
-    keys = {_canonical_words(*_decode(int(v), m), m) for v in _scan_block(joined, m, mid_abs)}
+    """run_search's classes from all four middle classes' joins, filtered by scan_block."""
+    keys = {_canonical_words(*decode(int(v), m), m) for v in scan_block(joined, m, mid_abs)}
     reps = [_key_pair(key, m) for key in sorted(keys)]
-    return [p.texts() for p in reps if m >= 4 and czcp_width(p) == m // 2 - 1]
+    return [p.texts() for p in reps if czcp_width(p) == m // 2 - 1]
 
 
 @pytest.mark.usefixtures("three_cpus")
@@ -425,13 +476,13 @@ def test_search_classes_are_checked_once():
         survivors = scan_block(_whole_join(m), m, None)
         assert survivors.size
         for index in survivors:
-            pair = _word_pair(*_decode(int(index), m), m)
+            pair = _word_pair(*decode(int(index), m), m)
             want = classify(pair)
             for q in equivalents(pair):
                 v = classify(q)
                 assert v.czcp_width == want.czcp_width, (m, int(index))
                 assert abs(v.mid_aacs) == abs(want.mid_aacs), (m, int(index))
-            key = _canonical_words(*_decode(int(index), m), m)
+            key = _canonical_words(*decode(int(index), m), m)
             assert czcp_width(_key_pair(key, m)) == want.czcp_width
 
 
@@ -554,10 +605,10 @@ def test_join_runs_once_per_class_below_thread_length(monkeypatch):
     for mid_abs in (None, 0, 2, 4, 6):
         spec = SearchSpec(m=24, mid_abs=mid_abs, allow_large=True)
         want = run_search(spec)
-        assert joins == list(_MIDDLES.get(mid_abs, ())), mid_abs
+        assert joins == [k for k, _ in _MIDDLES.get(mid_abs, ())], mid_abs
         joins.clear()
         assert _texts(run_search_parallel(spec, 2)) == _texts(want)
-        assert joins == list(_MIDDLES.get(mid_abs, ())), mid_abs
+        assert joins == [k for k, _ in _MIDDLES.get(mid_abs, ())], mid_abs
         joins.clear()
 
 
