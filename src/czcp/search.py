@@ -17,9 +17,9 @@ pair at a shift above M/2 lies inside either set, so those sums vanish for
 every candidate, and shifts 1..M/2-1 are the only ones that can reject. For
 them the condition is A+ = -A-, with each side a function of its own half of
 c. The search is therefore a meet-in-the-middle join: per middle class it
-lists the sign words of each half (about 2^(M/2) each) and matches them on
-their sums at shifts 1..M/2-1, in about 2^(M/2+2) word operations per shift
-instead of 2^(M+1) candidate tests.
+lists the sign words of each half (at most 2^(M/2-1) each, below) and
+matches them on their sums at shifts 1..M/2-1, in about 2^(M/2+1) word
+operations per shift instead of 2^(M+1) candidate tests.
 
 The join takes the sums from popcounts and builds no matrix of them. In a
 half with sign word w, A(u) = k(u) - 2 d(u): k(u) counts the pairs (i, i+u)
@@ -70,8 +70,23 @@ b_(M-1) ^ b_(M/2-1), XOR 1 for mid_abs 0, into bit 60 of the right key
 (_MIDDLES); the 6-bit fields end at bit 59 and never carry into it. The
 join compares every shift 1..M/2-1 in full, so its matches are exactly the
 candidates of the joined classes with the seed shape and the requested
-|AACS(M/2)|: every match is a survivor. M = 2 has no check shift, and its
-width M/2-1 = 0 is no CZCP, so no class is joined there.
+|AACS(M/2)| and with c_(M/2+1) = +1 (next paragraph): every match is a
+survivor. M = 2 has no check shift, and its width M/2-1 = 0 is no CZCP, so
+no class is joined there.
+
+Each half is listed with the sign of its first listed position fixed to +1
+(_half_words): c_0 in P+, by negation as above, and in P- c_(M/2+1), which
+_halves lists first in P- for every class, by the swap of c and d. Swapping
+keeps s = c d, so it keeps the middle class and d_0 = c_0 = +1; it
+complements c on P- and leaves P+ alone. Complementing a half leaves every
+d(u) unchanged, so every key field and the shift-1 field that picks a key
+part (below) stay the same, and so does class 1's key bit
+b_(M-1) ^ b_(M/2-1), whose two bits both lie in P-. A match and its swap
+partner therefore share a key part, a shard and a canonical class, and the
+search lists c with c_0 = c_(M/2+1) = +1 and emits one match of each swap
+pair. Each half then holds at most 2^(M/2-1) words: class 0's P+ (one bit
+derived) and class 1's two halves exactly that, class 0's P- half of it.
+The space counted as scanned is still all 2^(M+1) candidates.
 
 A search is a list of join passes, one per joined middle class and key
 part. Each half of a class is listed once and split by its words' shift-1
@@ -79,7 +94,9 @@ key field (_key_parts), which is equal on both sides of every match: with S
 shards, into S*jobs parts by the field mod S*jobs, of which shard i runs
 the `jobs` parts that are i mod S. So the shards' joins are disjoint and
 add up to the whole join, and the union of their classes is the unsharded
-result (a class can be reported by several shards). Each shard counts its
+result (a class can be reported by several shards). A match's field is a
+P+ word's 32 + d+(1), 0 <= d+(1) <= k+(1); a shard that owns none of those
+values lists neither half of the class. Each shard counts its
 equal share of the 2^(M+1) candidates as scanned. run_search_parallel is
 run_search below M = _THREADS_MIN_M, where two threads lose to one; from
 there on it lists the two halves on two worker threads started for the
@@ -98,8 +115,8 @@ the same for all 16 equivalent pairs.
 
 A spec whose whole space exceeds 2^24 candidates (M >= 24) is refused at
 construction, before any work starts, unless it sets allow_large. Lengths
-above 40 are refused outright: the join's peak memory grows about 3-3.5x
-per +4 in M (95 MB at M = 40, 287 MB at 44, 991 MB at 48, classes 0 and 1).
+above 40 are refused outright: the join's peak memory grows about 2.6-3.5x
+per +4 in M (67 MB at M = 40, 175 MB at 44, 607 MB at 48, classes 0 and 1).
 """
 
 from __future__ import annotations
@@ -117,8 +134,8 @@ from .sequences import SequencePair
 from .verify import czcp_width, golay_factorization
 
 _LARGE_SPACE = 1 << 24  # gate for M >= 24 (2^25 candidates and up)
-# M = 40 joins up to 2^20 words a half (0.4 s, 95 MB peak with mid_abs unset, 2-vCPU host);
-# each +4 in M multiplies the peak by about 3-3.5
+# M = 40 joins up to 2^19 words a half (0.2 s, 67 MB peak with mid_abs unset, 2-vCPU host);
+# each +4 in M multiplies the peak by about 2.6-3.5
 _MAX_M = 40
 _KEY_SHIFTS = 10  # shifts packed into the join key, 6 bits each
 _KEY_BLOCK = 1 << 16  # words keyed at a time (_half_key)
@@ -129,12 +146,14 @@ _MIDDLES = {None: ((0, None), (1, None)), 0: ((1, 1),), 2: ((0, None),), 4: ((1,
 _MID_BIT = 60  # class 1's |AACS(M/2)| key bit, above the _KEY_SHIFTS fields
 # run_search_parallel threads its passes from this length on and is run_search
 # below it. Two threads (one pass per class and key part) against run_search,
-# medians of 21 alternating calls, two rounds, 2-vCPU host: M = 28 unset
-# 7.4/8.4 against 5.5/5.3 ms, mid_abs = 2 4.0/4.6 against 2.8/2.6 ms; M = 30
-# unset 11.6/9.3 against 9.3/8.1 ms, mid_abs = 2 3.5/3.9 against 2.7/3.1 ms;
-# M = 32 unset 16.4/15.4 against 14.2/18.1 ms, mid_abs = 2 5.9/6.3 against
-# 5.2/5.4 ms; M = 34 unset 25.2/24.5 against 28.7/31.7 ms, mid_abs = 2
-# 9.2/9.8 against 10.8/11.2 ms. M = 32 is even within the host's spread.
+# medians of 21 alternating calls, two fresh processes, 2-vCPU host: M = 28
+# unset 4.2/7.1 against 2.7/3.7 ms, mid_abs = 2 2.1/4.3 against 1.3/2.1 ms;
+# M = 30 unset 5.2/8.4 against 4.3/6.0 ms, mid_abs = 2 2.6/4.0 against
+# 1.8/2.5 ms; M = 32 unset 11.3/11.8 against 11.4/12.9 ms, mid_abs = 2
+# 6.2/4.9 against 5.4/3.8 ms; M = 34 unset 19.4/15.7 against 21.4/17.8 ms,
+# mid_abs = 2 8.6/10.2 against 8.7/10.6 ms; M = 36 unset 32.1/32.4 against
+# 44.4/40.5 ms, mid_abs = 2 14.1/13.2 against 19.8/16.1 ms. M = 32 is even
+# within the host's spread.
 _THREADS_MIN_M = 32
 
 
@@ -273,11 +292,14 @@ def _halves(m, middle):
 
 
 def _half_words(positions):
-    """Every sign word of c over `positions`, with c0 = +1 (bit 0 clear)."""
+    """Every sign word of c over `positions` whose first position has sign +1 (bit clear).
+
+    _halves lists 0 first in P+ and M/2+1 first in P-: c_0 is fixed by
+    negation and c_(M/2+1) by the swap of c and d (module docstring).
+    """
     words = np.zeros(1, dtype=np.uint64)
-    for p in positions:
-        if p:
-            words = np.concatenate([words, words | np.uint64(1 << p)])
+    for p in positions[1:]:
+        words = np.concatenate([words, words | np.uint64(1 << p)])
     return words
 
 
@@ -337,9 +359,14 @@ def _key_parts(m, middle, shards, index, jobs, side):
     field is its shift-1 key field, 32 + d+(1) on the left and 32 + t(1) -
     d-(1) on the right, equal on every match; the shard's job k takes the
     fields that are index + shards*k mod shards*jobs. An unsharded search of
-    one job takes the whole half, with no partition pass.
+    one job takes the whole half, with no partition pass. A shard that owns
+    no field a match can have, 32 + d+(1) with 0 <= d+(1) <= k+(1), lists
+    nothing and returns `jobs` empty parts.
     """
     plus, minus = _halves(m, middle)
+    k_plus = sum(p + 1 in plus for p in plus)  # k+(1): pairs inside P+ at shift 1
+    if all((32 + d) % shards != index for d in range(k_plus + 1)):
+        return [np.zeros(0, dtype=np.uint64)] * jobs
     if side:
         words = _half_words(minus)
     elif middle == 0:

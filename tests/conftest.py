@@ -8,6 +8,7 @@ bit-parallel scanner the search's join is tested against, and in decode,
 its candidate decoder; check_scan_block checks both against ref_seed_shape.
 """
 
+import functools
 import random
 
 import numpy as np
@@ -170,14 +171,24 @@ def scan_block(indexes, m, mid_abs):
     return keep
 
 
+@functools.cache
 def scan_space(m, mid_abs):
-    """scan_block over the whole candidate space of length m, in blocks of 2^20."""
-    space = SearchSpec(m=m, allow_large=True).space
-    blocks = [
-        scan_block(np.arange(lo, min(lo + (1 << 20), space), dtype=np.uint64), m, mid_abs)
-        for lo in range(0, space, 1 << 20)
-    ]
-    return np.concatenate(blocks)
+    """scan_block over the whole candidate space of length m, as a read-only array.
+
+    The space is scanned once per m, in blocks of 2^20, with mid_abs unset;
+    scan_block filters candidate by candidate, so a mid_abs scan is that
+    scan's matches passed through scan_block again. Results are cached.
+    """
+    if mid_abs is None:
+        space = SearchSpec(m=m, allow_large=True).space
+        found = np.concatenate([
+            scan_block(np.arange(lo, min(lo + (1 << 20), space), dtype=np.uint64), m, None)
+            for lo in range(0, space, 1 << 20)
+        ])
+    else:
+        found = scan_block(scan_space(m, None), m, mid_abs)
+    found.flags.writeable = False
+    return found
 
 
 def check_scan_block(rng, m, sample):

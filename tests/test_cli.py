@@ -620,11 +620,21 @@ def test_readme_cli_examples_run(argv, tmp_path, monkeypatch):
     assert main(argv[1:]) == 0
 
 
+# `python -m czcp.cli` in a fresh interpreter imports the package the suite tests
+_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(catalog.__file__)), os.environ.get("PYTHONPATH", "")]
+    ),
+)
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "czcp.cli", "verify", "+----+", "+-+++-"],
         capture_output=True,
         text=True,
+        env=_ENV,
     )
     assert proc.returncode == 0
     assert "optimal:     yes" in proc.stdout
@@ -640,6 +650,7 @@ def test_closed_stdout_exits_141_quietly(tmp_path, fmt):
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        env=_ENV,
     )
     assert proc.stdout.read(40)
     proc.stdout.close()

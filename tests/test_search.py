@@ -172,6 +172,12 @@ def _whole_join(m):
     return np.sort(np.concatenate([_class_join(m, middle) for middle in range(4)]))
 
 
+def _swap_fixed(encodings, m):
+    """The encodings whose c has c_(M/2+1) = +1: of each swap pair the one the join lists."""
+    x, _ = decode(encodings, m)
+    return encodings[(x >> np.uint64(m // 2 + 1)) & np.uint64(1) == 0]
+
+
 def _sign(word, j):
     return 1 - 2 * ((word >> np.uint64(j)) & np.uint64(1)).astype(np.int64)
 
@@ -217,12 +223,15 @@ def test_class2_matches_are_perfect():
     # search's width check (M/2-1) would drop
     sizes = {}
     for m in range(4, 33, 2):
-        joined = _class_join(m, 2)
+        joined = np.sort(_class_join(m, 2))
         sizes[m] = joined.size
+        if m <= 22:
+            want = _swap_fixed(scan_space(m, None), m)
+            assert np.array_equal(joined, want[want % np.uint64(4) == 2]), m
         for v in joined:
             verdict = classify(_word_pair(*decode(int(v), m), m))
             assert verdict.is_perfect and verdict.czcp_width == m // 2, (m, int(v))
-    assert {m: n for m, n in sizes.items() if n} == {4: 4, 8: 16, 16: 96, 20: 64, 32: 768}
+    assert {m: n for m, n in sizes.items() if n} == {4: 2, 8: 8, 16: 48, 20: 32, 32: 384}
 
 
 def _pairs_inside(positions, u):
@@ -288,15 +297,36 @@ def _in_classes(encodings, mid_abs):
     return encodings[np.isin(encodings % np.uint64(4), classes)]
 
 
+def test_oracle_matches_are_closed_under_swap():
+    # swapping c and d keeps s = c d, so the middle class, and every AACS
+    # term; it complements c on P-, where c_(M/2+1) = -d_(M/2+1), so that
+    # sign flips. The oracle's matches of each class therefore come in swap
+    # pairs, one of each with c_(M/2+1) = +1, the one the join lists
+    found = 0
+    for m in range(4, 23, 2):
+        for mid_abs in (None, 0, 2, 4):
+            matches = scan_space(m, mid_abs)
+            x, y = decode(matches, m)
+            assert np.all((x ^ y) >> np.uint64(m // 2 + 1) & np.uint64(1)), (m, mid_abs)
+            for middle in range(4):
+                of_class = matches % np.uint64(4) == middle
+                pairs = set(zip(x[of_class].tolist(), y[of_class].tolist()))
+                assert {(b, a) for a, b in pairs} == pairs, (m, mid_abs, middle)
+            assert 2 * _swap_fixed(matches, m).size == matches.size, (m, mid_abs)
+            found += matches.size
+    assert found
+
+
 def test_join_matches_block_scanner():
     # includes M = 18 and 22, where no candidate survives; a search's joins
-    # hold exactly the scanner's matches of the classes they join
+    # hold exactly the scanner's matches of the classes they join that have
+    # c_(M/2+1) = +1
     for m in range(4, 23, 2):
         joined = _whole_join(m)
         assert joined.dtype == np.uint64
-        assert np.array_equal(joined, scan_space(m, None)), m
+        assert np.array_equal(joined, _swap_fixed(scan_space(m, None), m)), m
         for mid_abs in (None, 0, 2, 4, 6):
-            want = _in_classes(scan_space(m, mid_abs), mid_abs)
+            want = _in_classes(_swap_fixed(scan_space(m, mid_abs), m), mid_abs)
             assert np.array_equal(_search_joins(m, mid_abs), want), (m, mid_abs)
     assert scan_space(18, None).size == scan_space(22, None).size == 0
 
@@ -335,14 +365,14 @@ def test_join_compares_shifts_past_the_key(monkeypatch):
     # join match on part of each row and compare the rest, as from M = 24 on
     import czcp.search as search_mod
 
-    want = {m: scan_space(m, None) for m in range(4, 17, 2)}
+    want = {m: _swap_fixed(scan_space(m, None), m) for m in range(4, 17, 2)}
     for key_shifts in (0, 1, 3):
         monkeypatch.setattr(search_mod, "_KEY_SHIFTS", key_shifts)
         for m, ref in want.items():
             assert np.array_equal(_whole_join(m), ref), (key_shifts, m)
             # class 1's key bit holds with no key field beside it, too
             for mid_abs in (0, 4):
-                want_mid = _in_classes(scan_space(m, mid_abs), mid_abs)
+                want_mid = _in_classes(_swap_fixed(scan_space(m, mid_abs), m), mid_abs)
                 assert np.array_equal(_search_joins(m, mid_abs), want_mid), (key_shifts, m)
 
 
@@ -351,7 +381,7 @@ def test_half_key_blocks_build_the_same_key(monkeypatch):
     # the half, down to one word, give the key and the join of one block
     import czcp.search as search_mod
 
-    want = {m: scan_space(m, None) for m in range(4, 17, 2)}
+    want = {m: _swap_fixed(scan_space(m, None), m) for m in range(4, 17, 2)}
     words = np.arange(1000, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     whole = search_mod._half_key(words, (1 << 40) - 1, range(1, 11))
     for block in (1, 3, 64):
@@ -385,6 +415,31 @@ def test_shard_joins_partition_the_search(monkeypatch):
         union = {p.texts() for part in parts for p in part.pairs}
         assert sorted(union) == [p.texts() for p in single.pairs]
         seen.clear()
+
+
+def test_shard_that_owns_no_field_lists_nothing(monkeypatch):
+    # a match's shift-1 field is a P+ word's 32 + d+(1), 0 <= d+(1) <= k+(1).
+    # At M = 24 class 0's fields 32..44 fall in shards 0..12 of 16 and class
+    # 1's 32..42 in shards 0..10, so shards 11 and 12 list class 0's two
+    # halves only and shards 13..15 list nothing
+    import czcp.search as search_mod
+
+    listed = []
+    real = search_mod._half_words
+
+    def counting(positions):
+        listed.append(positions)
+        return real(positions)
+
+    monkeypatch.setattr(search_mod, "_half_words", counting)
+    counts, union = [], set()
+    for index in range(16):
+        part = run_search(SearchSpec(m=24, shards=16, shard_index=index, allow_large=True))
+        union.update(_texts(part))
+        counts.append(len(listed))
+        listed.clear()
+    assert counts == [4] * 11 + [2] * 2 + [0] * 3
+    assert sorted(union) == _texts(run_search(SearchSpec(m=24, allow_large=True)))
 
 
 def _shard_parts(m, middle, shards, index, jobs):
