@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -41,25 +42,12 @@ def _profiles_json(v):
 
 
 def _verdict_json(v):
-    return {
-        "n": v.n,
-        "zcp_width": v.zcp_width,
-        "czcp_width": v.czcp_width,
-        "is_gcp": v.is_gcp,
-        "is_perfect": v.is_perfect,
-        "is_optimal": v.is_optimal,
-        "czc_ratio": None
-        if v.czc_ratio is None
-        else {
-            "numerator": v.czc_ratio.numerator,
-            "denominator": v.czc_ratio.denominator,
-        },
-        "z_max": v.z_max,
-        "mid_aacs": v.mid_aacs,
-        "golay": None
-        if v.golay is None
-        else {"alpha": v.golay.alpha, "beta": v.golay.beta, "gamma": v.golay.gamma},
-    }
+    """The verdict's compared fields in order, which leave out the profiles."""
+    out = {f.name: getattr(v, f.name) for f in dataclasses.fields(v) if f.compare}
+    r, g = v.czc_ratio, v.golay
+    out["czc_ratio"] = None if r is None else {"numerator": r.numerator, "denominator": r.denominator}
+    out["golay"] = None if g is None else dataclasses.asdict(g)
+    return out
 
 
 def _jsonable(value):

@@ -76,7 +76,7 @@ no class is joined there.
 
 Each half is listed with the sign of its first listed position fixed to +1
 (_half_words): c_0 in P+, by negation as above, and in P- c_(M/2+1), which
-_halves lists first in P- for every class, by the swap of c and d. Swapping
+_class_sums lists first in P- for every class, by the swap of c and d. Swapping
 keeps s = c d, so it keeps the middle class and d_0 = c_0 = +1; it
 complements c on P- and leaves P+ alone. Complementing a half leaves every
 d(u) unchanged, so every key field and the shift-1 field that picks a key
@@ -89,7 +89,10 @@ derived) and class 1's two halves exactly that, class 0's P- half of it.
 The space counted as scanned is still all 2^(M+1) candidates.
 
 A search is a list of join passes, one per joined middle class and key
-part. Each half of a class is listed once and split by its words' shift-1
+part. A joined class is described once (_class_sums): its halves' listed
+positions and masks, t(u), class 0's derived bit and class 1's key bit,
+the last two as one parity rule (_parity); its listing, join and class
+keying read that description. Each half of a class is listed once and split by its words' shift-1
 key field (_key_parts), which is equal on both sides of every match: with S
 shards, into S*jobs parts by the field mod S*jobs, of which shard i runs
 the `jobs` parts that are i mod S. So the shards' joins are disjoint and
@@ -145,15 +148,9 @@ _KEY_BLOCK = 1 << 16  # words keyed at a time (_half_key)
 _MIDDLES = {None: ((0, None), (1, None)), 0: ((1, 1),), 2: ((0, None),), 4: ((1, 0),)}
 _MID_BIT = 60  # class 1's |AACS(M/2)| key bit, above the _KEY_SHIFTS fields
 # run_search_parallel threads its passes from this length on and is run_search
-# below it. Two threads (one pass per class and key part) against run_search,
-# medians of 21 alternating calls, two fresh processes, 2-vCPU host: M = 28
-# unset 4.2/7.1 against 2.7/3.7 ms, mid_abs = 2 2.1/4.3 against 1.3/2.1 ms;
-# M = 30 unset 5.2/8.4 against 4.3/6.0 ms, mid_abs = 2 2.6/4.0 against
-# 1.8/2.5 ms; M = 32 unset 11.3/11.8 against 11.4/12.9 ms, mid_abs = 2
-# 6.2/4.9 against 5.4/3.8 ms; M = 34 unset 19.4/15.7 against 21.4/17.8 ms,
-# mid_abs = 2 8.6/10.2 against 8.7/10.6 ms; M = 36 unset 32.1/32.4 against
-# 44.4/40.5 ms, mid_abs = 2 14.1/13.2 against 19.8/16.1 ms. M = 32 is even
-# within the host's spread.
+# below it: two threads (one pass per class and key part) lose to one process
+# below M = 32, are even with it there within a 2-vCPU host's spread, and win
+# from M = 34 on (timings in CHANGES.md, the `_THREADS_MIN_M` crossover)
 _THREADS_MIN_M = 32
 
 
@@ -272,29 +269,15 @@ def _key_pair(key, m):
     return SequencePair.from_texts(*(format(k, f"0{m}b").translate(signs) for k in key))
 
 
-def _check_shifts(m):
-    """AACS shifts that can reject a candidate; every shift above M/2 sums to zero."""
-    return range(1, m // 2)
-
-
 def _scan_block(words):
     """A class's join matches, unchanged: only perfbench/tracer.py's survivor lookup site."""
     return words
 
 
-def _halves(m, middle):
-    """Index sets P+ and P- of the middle-sign class `middle` (0..3)."""
-    h = m // 2
-    plus, minus = list(range(h - 1)), list(range(h + 1, m))
-    (minus if middle & 1 else plus).append(h - 1)
-    (minus if middle & 2 else plus).append(h)
-    return plus, minus
-
-
 def _half_words(positions):
     """Every sign word of c over `positions` whose first position has sign +1 (bit clear).
 
-    _halves lists 0 first in P+ and M/2+1 first in P-: c_0 is fixed by
+    _class_sums lists 0 first in P+ and M/2+1 first in P-: c_0 is fixed by
     negation and c_(M/2+1) by the swap of c and d (module docstring).
     """
     words = np.zeros(1, dtype=np.uint64)
@@ -341,19 +324,50 @@ def _pack(fields):
     return key
 
 
-def _class_sums(m, middle):
-    """Class `middle`'s position masks of P+ and P-, and t(u) at each shift in _check_shifts."""
-    plus, minus = _halves(m, middle)
+def _class_sums(m, middle, flip):
+    """The description of class `middle` the search joins: (P+ side, P- side, totals).
+
+    A side is (positions, bits, derived, key): the positions _half_words
+    lists, the first of them fixed (module docstring); the mask of the
+    half's positions; and two rules for _parity, (positions, flip, at) or
+    None. `derived` sets a bit the listing leaves out, class 0's c_(M/2) =
+    -c_1 c_(M/2-1) on P+. `key` is class 1's |AACS(M/2)| key bit when
+    `flip` (_MIDDLES) is not None: b_(M/2) on the left, b_(M-1) ^ b_(M/2-1)
+    ^ flip on the right. `totals` is t(u) at shifts 1..M/2-1.
+    """
+    h = m // 2
+    plus, minus = list(range(h - 1)), list(range(h + 1, m))
+    (minus if middle & 1 else plus).append(h - 1)
+    (minus if middle & 2 else plus).append(h)
     lbits, rbits = sum(1 << p for p in plus), sum(1 << p for p in minus)
     totals = [
         ((lbits & lbits >> u).bit_count() + (rbits & rbits >> u).bit_count()) // 2
-        for u in _check_shifts(m)
+        for u in range(1, h)
     ]
-    return lbits, rbits, totals
+    derived = None
+    if middle == 0:
+        # a match has c_(M/2) = -c_1 c_(M/2-1) (module docstring): list P+
+        # without position M/2, the last of `plus`, and derive its bit
+        plus, derived = plus[:-1], ((1, h - 1), 1, h)
+    lkey = rkey = None
+    if flip is not None:
+        lkey, rkey = ((h,), 0, _MID_BIT), ((m - 1, h - 1), flip, _MID_BIT)
+    return (plus, lbits, derived, lkey), (minus, rbits, None, rkey), totals
 
 
-def _key_parts(m, middle, shards, index, jobs, side):
-    """One half of class `middle`, listed once; shard `index`'s `jobs` key parts of it.
+def _parity(words, positions, flip, at):
+    """Per word, the XOR of its bits at `positions` (all below `at`) and `flip`, as bit `at`.
+
+    Its temporaries die before the join sorts (one held there: +9% peak at M = 40)."""
+    out = np.full(words.size, flip << at, dtype=np.uint64)
+    for p in positions:
+        out ^= np.left_shift(words, np.uint64(at - p))
+    out &= np.uint64(1 << at)
+    return out
+
+
+def _key_parts(desc, shards, index, jobs, side):
+    """Shard `index`'s `jobs` key parts of one half of the class `desc` (_class_sums), listed once.
 
     Side 0 is P+, the left words; side 1 is P-, the right words. A word's
     field is its shift-1 key field, 32 + d+(1) on the left and 32 + t(1) -
@@ -363,66 +377,44 @@ def _key_parts(m, middle, shards, index, jobs, side):
     no field a match can have, 32 + d+(1) with 0 <= d+(1) <= k+(1), lists
     nothing and returns `jobs` empty parts.
     """
-    plus, minus = _halves(m, middle)
-    k_plus = sum(p + 1 in plus for p in plus)  # k+(1): pairs inside P+ at shift 1
+    positions, bits, derived, _ = desc[side]
+    (_, lbits, _, _), _, totals = desc
+    k_plus = (lbits & lbits >> 1).bit_count()  # k+(1): pairs inside P+ at shift 1
     if all((32 + d) % shards != index for d in range(k_plus + 1)):
         return [np.zeros(0, dtype=np.uint64)] * jobs
-    if side:
-        words = _half_words(minus)
-    elif middle == 0:
-        # c_(M/2) = -c_1 c_(M/2-1) for every match (module docstring): list P+
-        # without position M/2, the last of `plus`, and derive its bit
-        h = m // 2
-        words = _half_words(plus[:-1])
-        one = np.uint64(1)
-        derived = (words >> one) ^ (words >> np.uint64(h - 1)) ^ one
-        words |= (derived & one) << np.uint64(h)
-    else:
-        words = _half_words(plus)
+    words = _half_words(positions)
+    if derived is not None:
+        words |= _parity(words, *derived)
     if shards * jobs == 1:
         return [words]
-    lbits, rbits, totals = _class_sums(m, middle)
     # field -> job (`jobs`: another shard's) in Python ints, as shards * jobs can pass 2^64
     fields = (32 + totals[0] - d if side else 32 + d for d in range(64))
     table = [f % (shards * jobs) // shards if f % shards == index else jobs for f in fields]
     job = np.array(table, dtype=np.min_scalar_type(jobs))  # one byte a word in `part`
-    part = np.take(job, _differ(words, rbits if side else lbits, 1))
+    part = np.take(job, _differ(words, bits, 1))
     return [np.compress(part == k, words) for k in range(jobs)]
 
 
-def _mid_bit(words, positions, flip):
-    """Per word, the XOR of its bits at `positions` and `flip`, as bit _MID_BIT of a uint64.
-
-    Its temporaries die before the join sorts (one held there: +9% peak at M = 40)."""
-    out = np.full(words.size, flip << _MID_BIT, dtype=np.uint64)
-    for p in positions:
-        out ^= np.left_shift(words, np.uint64(_MID_BIT - p))
-    out &= np.uint64(1 << _MID_BIT)
-    return out
-
-
-def _join(m, middle, flip, left_words, right_words):
-    """Class `middle`'s candidates with AACS zero at every _check_shifts shift, as c's sign words.
+def _join(desc, left_words, right_words):
+    """The class `desc`'s (_class_sums) candidates with AACS zero at shifts 1..M/2-1, as c's words.
 
     One pass: it keys, sorts and joins the P+ words `left_words` against
     the P- words `right_words`, all of a half or one key part's (_key_parts).
-    A `flip` other than None (_MIDDLES) adds class 1's |AACS(M/2)| key bit.
     """
     if not (left_words.size and right_words.size):
         return np.zeros(0, dtype=np.uint64)
+    (_, lbits, _, lkey), (_, rbits, _, rkey), totals = desc
     # A+ = -A- at shift u iff d+ + d- = t(u) = (k+(u) + k-(u)) / 2 (module
     # docstring); the left key's fields are 32 + d+, the right key's 32 + t - d-
-    lbits, rbits, totals = _class_sums(m, middle)
-    shifts = _check_shifts(m)
+    shifts = range(1, len(totals) + 1)
     keyed = shifts[:_KEY_SHIFTS]
     left_key = _half_key(left_words, lbits, keyed)
     left_key += np.uint64(_pack([32] * len(keyed)))
     right_key = _half_key(right_words, rbits, keyed)
     np.subtract(np.uint64(_pack([32 + t for t in totals[:_KEY_SHIFTS]])), right_key, out=right_key)
-    if flip is not None:
-        # b_(M/2) on the left, b_(M-1) ^ b_(M/2-1) ^ flip on the right (module docstring)
-        left_key |= _mid_bit(left_words, (m // 2,), 0)
-        right_key |= _mid_bit(right_words, (m - 1, m // 2 - 1), flip)
+    if lkey is not None:
+        left_key |= _parity(left_words, *lkey)
+        right_key |= _parity(right_words, *rkey)
     # sort-join on the packed key; sorted needles keep searchsorted's lookups local
     lorder, rorder = np.argsort(left_key), np.argsort(right_key)
     left_key, right_key = left_key[lorder], right_key[rorder]
@@ -468,16 +460,17 @@ def _search(spec, progress, jobs, join_map):
     for middle, flip in middles:
         # each half listed and split on a worker, whose join then reuses the
         # memory the listing frees
-        key_parts = partial(_key_parts, spec.m, middle, spec.shards, spec.shard_index, jobs)
+        desc = _class_sums(spec.m, middle, flip)
+        key_parts = partial(_key_parts, desc, spec.shards, spec.shard_index, jobs)
         lefts, rights = join_map(key_parts, (0, 1))
         found = []
-        for words in join_map(partial(_join, spec.m, middle, flip), lefts, rights):
+        for words in join_map(partial(_join, desc), lefts, rights):
             found.append(words)
             done += 1
             if progress is not None:
                 progress(done * spec.share // passes, spec.share)
         del lefts, rights  # before the next class's halves are listed
-        _, rbits, _ = _class_sums(spec.m, middle)  # d's word is c's ^ the P- mask
+        _, (_, rbits, _, _), _ = desc  # d's word is c's ^ the P- mask
         survivors = _scan_block(np.concatenate(found)).tolist()
         keys.update(_canonical_words(x, x ^ rbits, spec.m) for x in survivors)
     if not passes and progress is not None:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import errno
 import io
 import json
@@ -7,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -18,6 +20,7 @@ from czcp import catalog
 from czcp.cli import build_parser, main
 from czcp.correlation import aacs_profile, accs_profile
 from czcp.sequences import BinarySequence, SequencePair
+from czcp.verify import PairVerdict, classify
 
 with open("src/czcp/report.schema.json") as fh:
     SCHEMA = json.load(fh)
@@ -61,6 +64,24 @@ def test_verify_json_roundtrip(tmp_path, capsys):
     assert report["profiles"]["accs"] == [int(v) for v in accs_profile(pair)]
     assert report["verdict"]["czcp_width"] == 5
     assert report["verdict"]["czc_ratio"] == {"numerator": 1, "denominator": 1}
+
+
+def test_verdict_json_holds_the_verdict_fields_in_order(tmp_path, capsys):
+    # the profiles take no part in the verdict's equality and go under "profiles"
+    names = [f.name for f in dataclasses.fields(PairVerdict) if f.compare]
+    assert "aacs" not in names and "accs" not in names
+    for eid in ("K12", "GCP10"):
+        pair = catalog.get(eid).pair
+        _, report = run_json(capsys, "verify", write_pair(tmp_path, pair))
+        assert list(report["verdict"]) == names, eid
+        want = classify(pair)
+        for name in names:
+            if name not in ("czc_ratio", "golay"):
+                assert report["verdict"][name] == getattr(want, name), (eid, name)
+    # the last entry, GCP10: a ratio and a Golay factorization 10 = 10^1
+    ratio = report["verdict"]["czc_ratio"]
+    assert Fraction(ratio["numerator"], ratio["denominator"]) == want.czc_ratio
+    assert report["verdict"]["golay"] == {"alpha": 0, "beta": 1, "gamma": 0}
 
 
 def test_verify_inline_pair(capsys):
@@ -645,17 +666,17 @@ def test_closed_stdout_exits_141_quietly(tmp_path, fmt):
     # a length-29120 composite outgrows the pipe buffer, so the writer is
     # still writing when the reader (`| head -1`) goes away
     gcp = write_pair(tmp_path, catalog.golay_pair(1040), "g.txt")
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "czcp.cli", "construct", "--gcp", gcp, "--seed", "K28", *fmt],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
         env=_ENV,
-    )
-    assert proc.stdout.read(40)
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait() == 141
+    ) as proc:
+        assert proc.stdout.read(40)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 141
     assert err == ""  # no traceback, and nothing else either
 
 

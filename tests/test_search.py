@@ -17,10 +17,10 @@ from czcp.search import (
     _canonical_words,
     _class_sums,
     _differ,
-    _halves,
     _join,
     _key_parts,
     _key_pair,
+    _parity,
     _search,
     canonicalize,
     equivalents,
@@ -163,8 +163,9 @@ def _class_join(m, middle, flip=None):
     Its c words come back as candidate encodings, (x << 1) | middle (c0's
     bit 0 is clear), so they compare exactly with conftest's scan_space.
     """
-    (left,), (right,) = (_key_parts(m, middle, 1, 0, 1, side) for side in (0, 1))
-    x = _join(m, middle, flip, left, right)
+    desc = _class_sums(m, middle, flip)
+    (left,), (right,) = (_key_parts(desc, 1, 0, 1, side) for side in (0, 1))
+    x = _join(desc, left, right)
     return (x << np.uint64(1)) | np.uint64(middle)
 
 
@@ -239,6 +240,12 @@ def _pairs_inside(positions, u):
     return [(i, i + u) for i in sorted(inside) if i + u in inside]
 
 
+def _half_positions(m, middle):
+    """P+ and P- of class `middle`, read off the masks of its description (_class_sums)."""
+    (_, lbits, _, _), (_, rbits, _, _), _ = _class_sums(m, middle, None)
+    return tuple([p for p in range(m) if bits >> p & 1] for bits in (lbits, rbits))
+
+
 def test_pairs_inside_the_halves_are_even_in_number():
     # the join matches d+ against t(u) - d-, t(u) = (k+(u) + k-(u)) / 2, so
     # k+ + k- must be even: for u <= M/2-1 the first u positions lie in P+ and
@@ -246,10 +253,12 @@ def test_pairs_inside_the_halves_are_even_in_number():
     # has the parity of u, and the M-u pairs less those are even in number
     for m in range(4, 57, 2):
         for middle in range(4):
-            plus, minus = _halves(m, middle)
+            plus, minus = _half_positions(m, middle)
+            _, _, totals = _class_sums(m, middle, None)
             for u in range(1, m // 2):
                 k = len(_pairs_inside(plus, u)) + len(_pairs_inside(minus, u))
                 assert k % 2 == 0, (m, middle, u)
+                assert totals[u - 1] == k // 2, (m, middle, u)
 
 
 def test_class0_middle_shift_holds_two_plus_pairs():
@@ -257,7 +266,7 @@ def test_class0_middle_shift_holds_two_plus_pairs():
     # join derives c_(M/2) = -c_1 c_(M/2-1) instead of listing it
     for m in range(4, 57, 2):
         h = m // 2
-        plus, minus = _halves(m, 0)
+        plus, minus = _half_positions(m, 0)
         assert _pairs_inside(plus, h - 1) == [(0, h - 1), (1, h)], m
         assert _pairs_inside(minus, h - 1) == [], m
 
@@ -270,6 +279,11 @@ def test_class0_matches_have_the_derived_middle_sign():
         matches = scan_space(m, None)
         x, _ = decode(matches[matches % np.uint64(4) == 0], m)
         assert np.array_equal(_sign(x, h), -_sign(x, 1) * _sign(x, h - 1)), m
+        # class 0's description lists P+ without M/2 and its rule sets that bit
+        (positions, _, derived, _), _, _ = _class_sums(m, 0, None)
+        assert h not in positions
+        listed = x & ~np.uint64(1 << h)
+        assert np.array_equal(listed | _parity(listed, *derived), x), m
         found += x.size
     assert found
 
@@ -442,9 +456,9 @@ def test_shard_that_owns_no_field_lists_nothing(monkeypatch):
     assert sorted(union) == _texts(run_search(SearchSpec(m=24, allow_large=True)))
 
 
-def _shard_parts(m, middle, shards, index, jobs):
-    """Shard `index`'s `jobs` key parts of each half of class `middle`: (lefts, rights)."""
-    return tuple(_key_parts(m, middle, shards, index, jobs, side) for side in (0, 1))
+def _shard_parts(desc, shards, index, jobs):
+    """Shard `index`'s `jobs` key parts of each half of the class `desc`: (lefts, rights)."""
+    return tuple(_key_parts(desc, shards, index, jobs, side) for side in (0, 1))
 
 
 def _same_words(a, b):
@@ -459,9 +473,10 @@ def test_key_parts_partition_the_join():
     # the words of its one-job part
     for m in range(4, 21, 2):
         for middle in range(4):
-            (left,), (right,) = _shard_parts(m, middle, 1, 0, 1)
-            whole = _join(m, middle, None, left, right)
-            lbits, rbits, totals = _class_sums(m, middle)
+            desc = _class_sums(m, middle, None)
+            (left,), (right,) = _shard_parts(desc, 1, 0, 1)
+            whole = _join(desc, left, right)
+            (_, lbits, _, _), (_, rbits, _, _), totals = desc
             fields = (  # each side's shift-1 key field (module docstring)
                 lambda words: 32 + _differ(words, lbits, 1).astype(np.int64),
                 lambda words: 32 + totals[0] - _differ(words, rbits, 1).astype(np.int64),
@@ -469,21 +484,21 @@ def test_key_parts_partition_the_join():
             for shards in (1, 2, 3, 4, 7):
                 joins = []
                 for index in range(shards):
-                    one_job = _shard_parts(m, middle, shards, index, 1)
-                    joins.append(_join(m, middle, None, *one_job[0], *one_job[1]))
+                    one_job = _shard_parts(desc, shards, index, 1)
+                    joins.append(_join(desc, *one_job[0], *one_job[1]))
                     if m == 20 and shards >= 2:
                         # a shard keys only its own part of P+
                         assert one_job[0][0].size < left.size, (middle, shards, index)
                     for jobs in (1, 2, 3):
                         key = (m, middle, shards, index, jobs)
-                        split = _shard_parts(m, middle, shards, index, jobs)
+                        split = _shard_parts(desc, shards, index, jobs)
                         for parts, (words,), field in zip(split, one_job, fields):
                             assert len(parts) == jobs, key
                             assert _same_words(np.concatenate(parts), words), key
                             for k, part in enumerate(parts):
                                 got = field(part) % (shards * jobs)
                                 assert np.all(got == index + shards * k), key
-                        got = np.concatenate([_join(m, middle, None, *p) for p in zip(*split)])
+                        got = np.concatenate([_join(desc, *p) for p in zip(*split)])
                         assert np.unique(got).size == got.size, key
                         assert _same_words(got, joins[-1]), key
                 union = np.concatenate(joins)
@@ -491,7 +506,7 @@ def test_key_parts_partition_the_join():
                 assert _same_words(union, whole), (m, middle, shards)
             if m >= 8:
                 # the split is real: no part of three holds every word of a half
-                for half, parts in zip((left, right), _shard_parts(m, middle, 1, 0, 3)):
+                for half, parts in zip((left, right), _shard_parts(desc, 1, 0, 3)):
                     assert max(part.size for part in parts) < half.size, (m, middle)
 
 
@@ -645,18 +660,31 @@ def test_progress_callback():
             assert got == calls, (spec, jobs)
 
 
-@pytest.mark.usefixtures("three_cpus")
-def test_join_runs_once_per_class_below_thread_length(monkeypatch):
+def _record_classes(monkeypatch):
+    """Wrap _class_sums and _join; returns (described, joins), the classes each is run for."""
     import czcp.search as search_mod
 
-    joins = []
-    real = search_mod._join
+    described, joins, middles = [], [], {}
+    real_sums, real_join = search_mod._class_sums, search_mod._join
 
-    def counting(m, middle, *args):
-        joins.append(middle)
-        return real(m, middle, *args)
+    def describing(m, middle, flip):
+        desc = real_sums(m, middle, flip)
+        described.append(middle)
+        middles[id(desc)] = middle  # the description is alive while its class joins
+        return desc
 
-    monkeypatch.setattr(search_mod, "_join", counting)
+    def joining(desc, *args):
+        joins.append(middles[id(desc)])
+        return real_join(desc, *args)
+
+    monkeypatch.setattr(search_mod, "_class_sums", describing)
+    monkeypatch.setattr(search_mod, "_join", joining)
+    return described, joins
+
+
+@pytest.mark.usefixtures("three_cpus")
+def test_join_runs_once_per_class_below_thread_length(monkeypatch):
+    _, joins = _record_classes(monkeypatch)
     for mid_abs in (None, 0, 2, 4, 6):
         spec = SearchSpec(m=24, mid_abs=mid_abs, allow_large=True)
         want = run_search(spec)
@@ -665,6 +693,29 @@ def test_join_runs_once_per_class_below_thread_length(monkeypatch):
         assert _texts(run_search_parallel(spec, 2)) == _texts(want)
         assert joins == [k for k, _ in _MIDDLES.get(mid_abs, ())], mid_abs
         joins.clear()
+
+
+@pytest.mark.usefixtures("three_cpus")
+def test_each_joined_class_is_described_once(monkeypatch):
+    # _search builds one description per class in _MIDDLES[mid_abs], and the
+    # listing, the join and the class keying all read it: one per class at
+    # any length, shard and job count, however many passes join the class
+    described, joins = _record_classes(monkeypatch)
+    for mid_abs in (None, 0, 2, 4, 6):
+        classes = [k for k, _ in _MIDDLES.get(mid_abs, ())]
+        for spec, jobs in (
+            (SearchSpec(m=32, mid_abs=mid_abs, allow_large=True), 1),
+            (SearchSpec(m=32, mid_abs=mid_abs, allow_large=True), 2),
+            (SearchSpec(m=32, mid_abs=mid_abs, shards=3, shard_index=1, allow_large=True), 2),
+            (SearchSpec(m=12, mid_abs=mid_abs, shards=3, shard_index=0), 1),
+        ):
+            run_search_parallel(spec, jobs)
+            assert described == classes, (spec, jobs)
+            # a threaded search joins each class in `jobs` passes
+            passes = jobs if spec.m >= _THREADS_MIN_M else 1
+            assert joins == [k for k in classes for _ in range(passes)], (spec, jobs)
+            described.clear()
+            joins.clear()
 
 
 def test_seed_class_counts_stable():
