@@ -3,18 +3,21 @@
 The reference implementations here are deliberately written from the bare
 definitions (explicit index loops, no numpy, no shared code with the
 package) so the package's optimized paths are checked against something
-that cannot inherit their bugs. The exception is numpy in scan_block, the
-bit-parallel scanner the search's join is tested against, and in decode,
-its candidate decoder; check_scan_block checks both against ref_seed_shape.
+that cannot inherit their bugs. The exception is numpy in
+outside_in_census, the search's oracle, which works on packed sign words
+and takes only canonicalize from czcp.search; it is pinned against
+brute_force_search.
 """
 
+import collections
 import functools
 import random
+import types
 
 import numpy as np
 import pytest
 
-from czcp.search import SearchResult, SearchSpec, canonicalize
+from czcp.search import SearchResult, canonicalize
 from czcp.sequences import BinarySequence, SequencePair
 from czcp.verify import classify
 
@@ -101,115 +104,80 @@ def ref_czcp_width(pair):
     return 0
 
 
-def ref_seed_shape(pair, mid_abs=None):
-    """AACS zero at every shift 1..N-1 but N/2, where |AACS| must equal mid_abs if given."""
-    n = pair.n
-    for u in range(1, n):
-        s = ref_aacs(pair, u)
-        if u == n // 2:
-            if mid_abs is not None and abs(s) != mid_abs:
-                return False
-        elif s:
-            return False
-    return True
+def word_corr(a, b, u, n):
+    """Sum of a_i b_(i+u) over i = 0..n-1-u, per pair of length-n sign words in uint64 arrays.
 
-
-def word_aacs(x, y, m, u):
-    """AACS(u) of the pairs with uint64 sign words (x, y), by popcounts of w ^ (w >> u)."""
-    overlap = np.uint64((1 << (m - u)) - 1)
-    pc = sum(
-        np.bitwise_count((w ^ (w >> np.uint64(u))) & overlap).astype(np.int64)
-        for w in (x, y)
-    )
-    return 2 * (m - u) - 2 * pc
-
-
-def decode(index, m):
-    """Candidate `index` of length m -> sign words (x of c, y of d), bit j set for -1 at j.
-
-    The candidate space's definition: c_0 = +1 and bits 2.. of the index are
-    c_1..c_(M-1); d_j = c_j for j < M/2-1 and d_j = -c_j for j > M/2, and
-    index bits 0 and 1 set d_(M/2-1) = -c_(M/2-1) and d_(M/2) = -c_(M/2).
-    `index` is a Python int or a uint64 array; the words have its type.
+    It reads positions 0..n-1-u of `a` and u..n-1 of `b` only, so words
+    whose other bits are not yet set give it exactly. Returns int64.
     """
-    h = m // 2
-    x = index >> 2 << 1
-    y = index & 0
-    for j in range(m):
-        if j < h - 1:
-            negated = 0
-        elif j == h - 1:
-            negated = index & 1
-        elif j == h:
-            negated = index >> 1 & 1
-        else:
-            negated = 1
-        y |= (x >> j & 1 ^ negated) << j
-    return x, y
+    differ = np.bitwise_count((a ^ (b >> np.uint64(u))) & np.uint64((1 << (n - u)) - 1))
+    return (n - u) - 2 * differ.astype(np.int64)
 
 
-def scan_block(indexes, m, mid_abs):
-    """Encodings in the uint64 array `indexes` whose pairs have the seed shape.
+def aacs_of_words(x, y, u, m):
+    """AACS(u) of the pairs with length-m sign words (x of c, y of d), by word_corr."""
+    return word_corr(x, x, u, m) + word_corr(y, y, u, m)
 
-    Bit-parallel ref_seed_shape on the half-structured candidates: AACS(u) =
-    2*(m-u) - 2*(popcount_x + popcount_y) of the shifted-XOR words, zero at
-    u = 1..M/2-1 and |AACS(M/2)| == mid_abs if given; every shift above M/2
-    sums to zero for every candidate. The reference the search's join is
-    tested against.
-    """
-    x, y = decode(indexes, m)
-    keep = indexes
-    for u in range(1, m // 2 + 1):
-        aacs = word_aacs(x, y, m, u)
-        if u < m // 2:
-            ok = aacs == 0
-        elif mid_abs is not None:
-            ok = np.abs(aacs) == mid_abs
-        else:
-            break
-        keep, x, y = keep[ok], x[ok], y[ok]
-    return keep
+
+def _accs_of_words(x, y, u, m):
+    return word_corr(x, y, u, m) + word_corr(y, x, u, m)
+
+
+def _extend(x, y, p):
+    """Each pair four times, with every sign of c and of d at position p."""
+    bit = np.uint64(1 << p)
+    return np.concatenate([x, x | bit, x, x | bit]), np.concatenate([y, y, y | bit, y | bit])
+
+
+Census = collections.namedtuple("Census", "classes frontier")
 
 
 @functools.cache
-def scan_space(m, mid_abs):
-    """scan_block over the whole candidate space of length m, as a read-only array.
+def outside_in_census(m, z):
+    """Every pair of length m and CZCP width at least z, 1 <= z <= m/2, up to equivalence.
 
-    The space is scanned once per m, in blocks of 2^20, with mid_abs unset;
-    scan_block filters candidate by candidate, so a mid_abs scan is that
-    scan's matches passed through scan_block again. Results are cached.
+    It assumes nothing of the half-sequence structure. c and d are sign
+    words (bit j set for -1 at j) with c_0 = d_0 = +1, as every pair is
+    equivalent to one. They are built from both ends: layer k sets
+    positions k and m-1-k of both, and with them every term of AACS and
+    ACCS at shift m-1-k, so it keeps a pair only if both vanish there, as
+    the zones of width z demand for k < z. After z layers the positions
+    z..m-1-z take every sign: that is `frontier`, (words of c, words of d),
+    read-only. `classes`, a read-only mapping in text order, maps the
+    canonical texts of each frontier pair whose AACS also vanishes at 1..z
+    to (its CZCP width, |AACS(m/2)|). Results are cached.
     """
-    if mid_abs is None:
-        space = SearchSpec(m=m, allow_large=True).space
-        found = np.concatenate([
-            scan_block(np.arange(lo, min(lo + (1 << 20), space), dtype=np.uint64), m, None)
-            for lo in range(0, space, 1 << 20)
-        ])
-    else:
-        found = scan_block(scan_space(m, None), m, mid_abs)
-    found.flags.writeable = False
-    return found
-
-
-def check_scan_block(rng, m, sample):
-    """scan_block against ref_seed_shape on decoded candidates.
-
-    The block is `sample` random encodings plus every encoding the scanner
-    keeps over the whole space (so accepting cases occur); over the block
-    the scanner must keep exactly the encodings the definition accepts.
-    """
-    space = SearchSpec(m=m).space
-    found = scan_space(m, None)
-    chosen = set(rng.sample(range(space), min(sample, space))) | {int(v) for v in found}
-    block = np.array(sorted(chosen), dtype=np.uint64)
-    pairs = {}
-    for index in chosen:
-        x, y = decode(index, m)
-        pairs[index] = SequencePair(word_sequence(x, m), word_sequence(y, m))
-    for mid_abs in (None, 0, 2):
-        want = [i for i in sorted(chosen) if ref_seed_shape(pairs[i], mid_abs)]
-        assert [int(v) for v in scan_block(block, m, mid_abs)] == want, (m, mid_abs)
-    return len(found)
+    x = y = np.zeros(1, dtype=np.uint64)
+    for k in range(z):
+        u = m - 1 - k
+        for p in {k, u} - {0}:
+            x, y = _extend(x, y, p)
+        keep = (aacs_of_words(x, y, u, m) == 0) & (_accs_of_words(x, y, u, m) == 0)
+        x, y = x[keep], y[keep]
+    for p in range(z, m - z):
+        x, y = _extend(x, y, p)
+    for words in (x, y):
+        words.flags.writeable = False
+    frontier = x, y
+    kept = []
+    for a in range(0, x.size, 1 << 20):  # slices keep the temporaries small at m = 22
+        xs, ys = x[a : a + (1 << 20)], y[a : a + (1 << 20)]
+        for u in range(1, z + 1):
+            keep = aacs_of_words(xs, ys, u, m) == 0
+            xs, ys = xs[keep], ys[keep]
+        kept.append((xs, ys))
+    x, y = (np.concatenate(words) for words in zip(*kept))
+    width = np.full(x.size, z)
+    for w in range(z + 1, m // 2 + 1):  # width w adds shift w and m-w to the zones
+        grows = (width == w - 1) & (aacs_of_words(x, y, w, m) == 0)
+        grows &= (aacs_of_words(x, y, m - w, m) == 0) & (_accs_of_words(x, y, m - w, m) == 0)
+        width[grows] = w
+    mid = np.abs(aacs_of_words(x, y, m // 2, m))
+    classes = {}
+    for a, b, w, v in zip(x.tolist(), y.tolist(), width.tolist(), mid.tolist()):
+        pair = SequencePair(word_sequence(a, m), word_sequence(b, m))
+        classes[canonicalize(pair).texts()] = (w, v)
+    return Census(types.MappingProxyType(dict(sorted(classes.items()))), frontier)
 
 
 def brute_force_search(m, mid_abs=None):

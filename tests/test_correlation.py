@@ -17,7 +17,6 @@ from czcp.turyn import _require_gcp, composite_profiles, turyn_compose
 from czcp.verify import classify
 
 from conftest import (
-    check_scan_block,
     random_pair,
     random_sequence,
     ref_aacs,
@@ -137,12 +136,6 @@ def test_profiles_match_naive_oracle(rng):
         for u in range(n):
             assert aacs[u] == ref_accf(a, a, u) + ref_accf(b, b, u)
             assert accs[u] == ref_accf(a, b, u) + ref_accf(b, a, u)
-
-
-def test_packed_kernel_matches_naive(rng):
-    # the search's popcount scanner; the whole space is checked up to M = 10
-    for m in range(4, 17, 2):
-        assert check_scan_block(rng, m, sample=2048) > 0
 
 
 # --- Kronecker-substitution kernel -------------------------------------------

@@ -1,8 +1,9 @@
 """The benchmark's tracer patches module-global names in czcp; each must exist.
 
-perfbench's own tests, which install the tracer, are not part of this
-suite, so a renamed or deleted lookup site would otherwise go unnoticed
-until a traced benchmark run fails.
+perfbench's own tests (perfbench/tests, also in this suite's testpaths)
+trace only the verify-mixed workload. Here every lookup site is checked by
+name, and the construction and search workloads run traced, so a renamed
+or deleted site fails tier-1 instead of a later traced benchmark run.
 """
 
 import importlib
