@@ -352,7 +352,11 @@ def build_parser():
         help="the shard to run, 0..SHARDS-1 (required when --shards > 1)",
     )
     p.add_argument("--jobs", type=int, default=1, help="worker threads")
-    p.add_argument("--allow-large", action="store_true")
+    p.add_argument(
+        "--allow-large",
+        action="store_true",
+        help="needed above length 40 (2^19 sign words a half); lengths above 48 are refused",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 

@@ -66,7 +66,7 @@ def reproduce_table1():
             True,
             lemma5_structure_holds(pair, v.czcp_width),
         )
-        found = run_search(SearchSpec(m=pair.n, mid_abs=2, allow_large=True)).pairs
+        found = run_search(SearchSpec(m=pair.n, mid_abs=2)).pairs
         _check(checks, f"{entry.id}.rediscovered_by_search", True, canonicalize(pair) in found)
     return ReproduceReport("table1", tuple(checks))
 

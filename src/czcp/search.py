@@ -116,10 +116,14 @@ is parsed from its key, two ints whose M binary digits are the texts
 (_key_pair), and verified once, because the CZCP width and |mid_aacs| are
 the same for all 16 equivalent pairs.
 
-A spec whose whole space exceeds 2^24 candidates (M >= 24) is refused at
-construction, before any work starts, unless it sets allow_large. Lengths
-above 40 are refused outright: the join's peak memory grows about 2.6-3.5x
-per +4 in M (67 MB at M = 40, 175 MB at 44, 607 MB at 48, classes 0 and 1).
+A spec is gated at construction, before any work starts, on what a search
+holds: the 2^(M/2-1) sign words of its largest half, listed in full
+whatever mid_abs, shards and jobs. Up to 2^19 words (M <= 40) it runs
+freely, up to 2^23 (M <= 48) it needs allow_large, and longer lengths are
+refused. With mid_abs unset a search took 0.15 s and 66 MB at M = 40,
+0.77 s and 174 MB at 44, and 3.5 s and 607 MB at 48, where it finds 20
+classes, the canonical form of the paper's (48, 23) pair among them
+(2-vCPU host, fresh processes): about 2.6-3.5x the memory per +4 in M.
 """
 
 from __future__ import annotations
@@ -136,10 +140,9 @@ import numpy as np
 from .sequences import SequencePair
 from .verify import czcp_width, golay_factorization
 
-_LARGE_SPACE = 1 << 24  # gate for M >= 24 (2^25 candidates and up)
-# M = 40 joins up to 2^19 words a half (0.2 s, 67 MB peak with mid_abs unset, 2-vCPU host);
-# each +4 in M multiplies the peak by about 2.6-3.5
-_MAX_M = 40
+# log2 of a half's sign words that run freely (M <= 40) and with allow_large
+# (M <= 48); the peaks they bound are in the module docstring
+_FREE_WORDS, _MAX_WORDS = 19, 23
 _KEY_SHIFTS = 10  # shifts packed into the join key, 6 bits each
 _KEY_BLOCK = 1 << 16  # words keyed at a time (_half_key)
 # mid_abs -> (middle class, key bit) per class whose join holds every optimal
@@ -161,7 +164,7 @@ class SearchSpecError(ValueError):
 
 
 class LargeSearchError(SearchSpecError):
-    """A SearchSpec over more than 2^24 candidates that does not set allow_large."""
+    """A SearchSpec past 2^19 sign words a half (M > 40) that does not set allow_large."""
 
     code = "large_search_gated"
 
@@ -179,17 +182,18 @@ class SearchSpec:
     def __post_init__(self):
         if self.m < 2 or self.m % 2:
             raise SearchSpecError(f"target length must be even and >= 2, got {self.m}")
-        if self.m > _MAX_M:
+        words = self.m // 2 - 1  # log2 of the largest half's sign words; 2^words is never built
+        if words > _MAX_WORDS:
             raise SearchSpecError(
-                f"target length {self.m} exceeds {_MAX_M}, the search's memory limit"
+                f"length {self.m} lists 2^{words} sign words a half, past the limit 2^{_MAX_WORDS}"
             )
         if self.mid_abs is not None and self.mid_abs < 0:
             raise SearchSpecError(f"mid_abs must be non-negative, got {self.mid_abs}")
         if self.shards < 1 or not 0 <= self.shard_index < self.shards:
             raise SearchSpecError("need 0 <= shard_index < shards")
-        if self.space > _LARGE_SPACE and not self.allow_large:
+        if words > _FREE_WORDS and not self.allow_large:
             raise LargeSearchError(
-                f"length {self.m} searches {self.space:,} candidates; "
+                f"length {self.m} lists 2^{words} sign words a half; "
                 "rerun with allow_large (--allow-large)"
             )
 

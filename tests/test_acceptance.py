@@ -138,12 +138,12 @@ def test_criterion_5_search_reproduction():
 
 
 def test_criterion_6_large_searches():
-    res24 = run_search(SearchSpec(m=24, mid_abs=2, allow_large=True))
+    res24 = run_search(SearchSpec(m=24, mid_abs=2))
     assert res24.elapsed < 300.0
     assert canonicalize(catalog.seed("K24").pair) in res24.pairs
     assert res24.classes == 4
 
-    res28 = run_search(SearchSpec(m=28, mid_abs=2, allow_large=True))
+    res28 = run_search(SearchSpec(m=28, mid_abs=2))
     assert res28.elapsed < 3600.0
     assert canonicalize(catalog.seed("K28").pair) in res28.pairs
     assert res28.classes == 8

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -242,7 +243,7 @@ def test_search_shards_on_threads_match_one_process(capsys, monkeypatch, mid_abs
     import czcp.search as search_mod
 
     monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 2)
-    argv = ["search", "--length", "32", "--mid-abs", mid_abs, "--allow-large"]
+    argv = ["search", "--length", "32", "--mid-abs", mid_abs]
     code, single = run_json(capsys, *argv)
     assert code == 0
     results, scanned = set(), 0
@@ -281,6 +282,14 @@ def test_search_jobs_outside_cpu_count_refused(capsys, monkeypatch, jobs):
     jsonschema.validate(report, SCHEMA)
     assert report["error"]["code"] == "bad_search"
     assert "--jobs" in report["error"]["message"]
+
+
+def test_search_length_far_past_the_limit_refused_at_once(capsys):
+    # the limit compares a half's word count as an exponent and never builds it
+    t0 = time.monotonic()
+    code, report = run_json(capsys, "search", "--length", str(10**18))
+    assert time.monotonic() - t0 < 1
+    assert code == 2 and report["error"]["code"] == "bad_search"
 
 
 @pytest.mark.parametrize(
@@ -429,22 +438,27 @@ _REFUSALS = [
         "second pair is not a GCP",
     ),
     (
-        ["search", "--length", "24"],
+        ["search", "--length", "42"],
         "large_search_gated",
-        "length 24 searches 33,554,432 candidates; rerun with allow_large (--allow-large)",
+        "length 42 lists 2^20 sign words a half; rerun with allow_large (--allow-large)",
     ),
     (["search", "--length", "-2"], "bad_search", "target length must be even and >= 2, got -2"),
     (["search", "--length", "0"], "bad_search", "target length must be even and >= 2, got 0"),
     (["search", "--length", "7"], "bad_search", "target length must be even and >= 2, got 7"),
     (
-        ["search", "--length", "42"],
+        ["search", "--length", "50"],
         "bad_search",
-        "target length 42 exceeds 40, the search's memory limit",
+        "length 50 lists 2^24 sign words a half, past the limit 2^23",
     ),
     (
-        ["search", "--length", "64"],
+        ["search", "--length", "64", "--allow-large"],
         "bad_search",
-        "target length 64 exceeds 40, the search's memory limit",
+        "length 64 lists 2^31 sign words a half, past the limit 2^23",
+    ),
+    (
+        ["search", "--length", str(10**18)],
+        "bad_search",
+        f"length {10**18} lists 2^{10**18 // 2 - 1} sign words a half, past the limit 2^23",
     ),
     (
         ["search", "--length", "6", "--mid-abs", "-1"],
@@ -614,15 +628,19 @@ def test_reproduce_table2_refuses_transformed_rows(monkeypatch, transform):
 
 
 def _readme_cli_lines():
-    # the czcp lines of the README's code blocks, their trailing comments dropped
+    # the czcp lines of the README's code blocks, their trailing comments
+    # dropped; a search past the gate (M = 48: about 3.5 s and 610 MB) runs
+    # with `-m large_census`
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = text.split("```")[1::2]
-    return [
+    lines = [
         shlex.split(line, comments=True)
         for block in blocks
         for line in block.splitlines()
         if line.startswith("czcp ")
     ]
+    large = pytest.mark.large_census
+    return [pytest.param(a, marks=large) if "--allow-large" in a else a for a in lines]
 
 
 @pytest.mark.parametrize("argv", _readme_cli_lines(), ids=" ".join)
@@ -773,7 +791,7 @@ def test_fuzz_catalog(ids, json_flag):
 
 # argparse takes any unambiguous prefix, so "--a" would be --allow-large and "--j" --jobs
 _SEARCH_TOKEN = _TOKEN.filter(lambda t: not t.startswith(("--a", "--j")))
-_SEARCH_INT = st.integers(-4, 44).map(str) | _SEARCH_TOKEN
+_SEARCH_INT = st.integers(-4, 52).map(str) | _SEARCH_TOKEN
 # shard counts past the 64 key fields, and past int64
 _SHARD_INT = _SEARCH_INT | st.sampled_from([64, 65, 2**63, 10**20]).map(str)
 
@@ -788,7 +806,8 @@ _SHARD_INT = _SEARCH_INT | st.sampled_from([64, 65, 2**63, 10**20]).map(str)
     extra=st.lists(_SEARCH_TOKEN, max_size=2),
 )
 def test_fuzz_search(length, mid_abs, shard, shards, json_flag, extra):
-    # no --allow-large and no --jobs: every accepted search is M <= 22 in this process
+    # lengths on both sides of the gate (40) and the limit (48); with no
+    # --allow-large and no --jobs every accepted search is M <= 40, in this process
     argv = ["search", *extra]
     for flag, value in (
         ("--length", length),

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter
 from functools import cache, partial
 
@@ -268,7 +269,7 @@ def test_many_shards_keep_the_union():
         assert sorted({t for part in parts for t in _texts(part)}) == want, shards
 
 
-# run_search's classes at every even M <= 28 with mid_abs unset, as
+# run_search's classes at every even M <= 42 with mid_abs unset, as
 # {|AACS(M/2)|: classes}; no published count exists, so they are frozen
 _CENSUS = {
     2: {},
@@ -285,13 +286,34 @@ _CENSUS = {
     24: {2: 4, 4: 8},
     26: {0: 2},
     28: {2: 8},
+    30: {},
+    32: {4: 8},
+    34: {},
+    36: {},
+    38: {},
+    40: {4: 4},
+    42: {},
 }
 
 
-def test_census_frozen_to_28():
+def _census_classes(m):
+    pairs = run_search(SearchSpec(m=m, allow_large=m > 40)).pairs
+    return pairs, Counter(abs(classify(p).mid_aacs) for p in pairs)
+
+
+def test_census_frozen_to_42():
     for m, want in _CENSUS.items():
-        pairs = run_search(SearchSpec(m=m, allow_large=True)).pairs
-        assert Counter(abs(classify(p).mid_aacs) for p in pairs) == want, m
+        assert _census_classes(m)[1] == want, m
+
+
+@pytest.mark.large_census
+def test_census_frozen_to_48():
+    # run with `-m large_census`: about 6 s, and M = 48's search peaks near
+    # 610 MB; it finds the paper's (48, 23) pair
+    for m, want in ((44, {}), (46, {}), (48, {2: 16, 4: 4})):
+        pairs, counts = _census_classes(m)
+        assert counts == want, m
+    assert canonicalize(catalog.get("T2K48").pair) in pairs
 
 
 def test_search_finds_seed6():
@@ -317,16 +339,39 @@ def test_golay_length_flagged():
 
 
 def test_large_search_gated():
+    # the gate counts a half's 2^(M/2-1) sign words: free up to 2^19 (M = 40)
     with pytest.raises(LargeSearchError) as refused:
-        run_search(SearchSpec(m=24, mid_abs=2))
+        run_search(SearchSpec(m=42, mid_abs=2))
     assert refused.value.code == "large_search_gated"
+    assert str(refused.value) == (
+        "length 42 lists 2^20 sign words a half; rerun with allow_large (--allow-large)"
+    )
+    with pytest.raises(LargeSearchError):
+        SearchSpec(m=48)
+    assert SearchSpec(m=40).space == 1 << 41
+    # allow_large stays valid at a free length, as the benchmark passes it at M = 24
+    assert SearchSpec(m=24, allow_large=True).space == 1 << 25
+    # the checks keep their order: a spec past the gate with another fault reports that
+    with pytest.raises(SearchSpecError, match="^mid_abs must be non-negative") as refused:
+        SearchSpec(m=42, mid_abs=-1)
+    assert refused.value.code == "bad_search"
 
 
 def test_length_limit():
-    assert SearchSpec(m=40, allow_large=True).space == 1 << 41
-    with pytest.raises(SearchSpecError) as refused:
-        SearchSpec(m=42, allow_large=True)
-    assert refused.value.code == "bad_search"
+    assert SearchSpec(m=48, allow_large=True).space == 1 << 49
+    for m in (50, 64, 10**18):
+        t0 = time.monotonic()
+        for allow_large in (False, True):
+            with pytest.raises(SearchSpecError) as refused:
+                SearchSpec(m=m, allow_large=allow_large)
+            assert refused.value.code == "bad_search", m
+            assert str(refused.value) == (
+                f"length {m} lists 2^{m // 2 - 1} sign words a half, past the limit 2^23"
+            )
+        # the limit compares exponents and builds no 2^(M/2-1)
+        assert time.monotonic() - t0 < 1, m
+    with pytest.raises(SearchSpecError, match="^length 50 lists 2"):
+        SearchSpec(m=50, mid_abs=-1, shards=0)
 
 
 # --- proved facts, over the census frontier ----------------------------------------
@@ -473,6 +518,32 @@ def test_matches_are_closed_under_swap():
     assert found
 
 
+def test_every_join_match_is_one_survivor(monkeypatch):
+    # the search keys one class per join match (_canonical_words), and the
+    # join emits exactly the census matches of the joined classes with the
+    # requested |AACS(M/2)| and c_(M/2+1) = +1, one of each swap pair
+    keyed = []
+    canonical = search_mod._canonical_words
+    monkeypatch.setattr(
+        search_mod, "_canonical_words", lambda x, y, m: keyed.append(x) or canonical(x, y, m)
+    )
+    run_search(SearchSpec(m=2))
+    assert keyed == []  # M = 2 joins no class
+    for m in range(4, 19, 2):
+        h = m // 2
+        x, y = _matches(m)
+        middle = _middle_class(x, y, m)
+        mid = np.abs(aacs_of_words(x, y, h, m))
+        listed = (x >> np.uint64(h + 1) & np.uint64(1)) == 0
+        for mid_abs in (None, 0, 2, 4):
+            keep = listed & np.isin(middle, [k for k, _ in _MIDDLES[mid_abs]])
+            if mid_abs is not None:
+                keep &= mid == mid_abs
+            keyed.clear()
+            run_search(SearchSpec(m=m, mid_abs=mid_abs))
+            assert sorted(keyed) == sorted(x[keep].tolist()), (m, mid_abs)
+
+
 def test_search_classes_are_checked_once():
     # run_search verifies one representative per class; that is sound only
     # because every equivalent of a match has its width and |mid_aacs|
@@ -528,7 +599,7 @@ def test_jobs_outside_cpu_count_refused(monkeypatch):
     monkeypatch.setattr(search_mod, "ThreadPoolExecutor", no_search)
     monkeypatch.setattr(search_mod, "_class_sums", no_search)
     cpus = os.cpu_count() or 1
-    spec = SearchSpec(m=_THREADS_MIN_M, allow_large=True)
+    spec = SearchSpec(m=_THREADS_MIN_M)
     for jobs in (0, -1, cpus + 1, 10**9):
         message = rf"^--jobs must be in 1\.\.{cpus} \(the CPU count\), got {jobs}$"
         with pytest.raises(SearchSpecError, match=message):
@@ -545,9 +616,7 @@ def test_threaded_search_matches_single(m):
     assert m >= _THREADS_MIN_M
     for mid_abs in (None, 0, 2, 4):
         for shards, index in ((1, 0), (3, 1)):
-            spec = SearchSpec(
-                m=m, mid_abs=mid_abs, shards=shards, shard_index=index, allow_large=True
-            )
+            spec = SearchSpec(m=m, mid_abs=mid_abs, shards=shards, shard_index=index)
             want = run_search(spec)
             for jobs in (2, 3):
                 threads = threading.active_count()
@@ -581,7 +650,7 @@ def test_search_runs_on_workers_from_thread_length(monkeypatch, m, threaded):
     here = threading.get_ident()
     threads = threading.active_count()
     during = []
-    spec = SearchSpec(m=m, allow_large=True)
+    spec = SearchSpec(m=m)
     run_search_parallel(spec, 2, lambda done, total: during.append(threading.active_count()))
     assert threading.active_count() == threads
     assert during and all((n > threads) == threaded for n in during)
@@ -592,7 +661,7 @@ def test_search_runs_on_workers_from_thread_length(monkeypatch, m, threaded):
 
 @pytest.mark.usefixtures("three_cpus")
 def test_failing_progress_leaves_no_thread():
-    spec = SearchSpec(m=32, allow_large=True)
+    spec = SearchSpec(m=32)
 
     class Stop(Exception):
         pass
@@ -648,7 +717,7 @@ _TWO_CPUS = "_cpus = os.cpu_count\nos.cpu_count = lambda: max(_cpus() or 1, 2)\n
 _FORK_AFTER_CALL = _TWO_CPUS + (
     "import signal\n"
     "from czcp.search import SearchSpec, run_search, run_search_parallel\n"
-    "spec = SearchSpec(m=32, mid_abs=2, allow_large=True)\n"
+    "spec = SearchSpec(m=32, mid_abs=2)\n"
     "want = [p.texts() for p in run_search(spec).pairs]\n"
     "def search():\n"
     "    return [p.texts() for p in run_search_parallel(spec, 2).pairs]\n"
@@ -673,12 +742,12 @@ def test_forked_child_searches_on_its_own_threads(tmp_path):
 _LIBRARY_EXIT = _TWO_CPUS + (
     "from czcp.search import SearchSpec, run_search_parallel\n"
     "for m in (32, 34):\n"
-    "    run_search_parallel(SearchSpec(m=m, mid_abs=2, allow_large=True), 2)\n"
+    "    run_search_parallel(SearchSpec(m=m, mid_abs=2), 2)\n"
     "assert nothing_left()\n"
 )
 _CLI_EXIT = (
     "from czcp.cli import main\n"
-    "code = main(['search', '--length', '32', '--mid-abs', '2', '--allow-large', '--jobs', '2'])\n"
+    "code = main(['search', '--length', '32', '--mid-abs', '2', '--jobs', '2'])\n"
     "assert nothing_left()\n"
     "sys.exit(code)\n"
 )

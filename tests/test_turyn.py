@@ -179,7 +179,7 @@ def test_auto_normalize_always_restores_theorem1():
     seeds = [
         pair
         for m in (6, 12, 14, 24, 28)
-        for pair in run_search(SearchSpec(m=m, allow_large=True)).pairs
+        for pair in run_search(SearchSpec(m=m)).pairs
         if lemma9_condition_holds(pair)
     ]
     built = flipped = 0
