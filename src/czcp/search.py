@@ -86,7 +86,12 @@ partner therefore share a key part, a shard and a canonical class, and the
 search lists c with c_0 = c_(M/2+1) = +1 and emits one match of each swap
 pair. Each half then holds at most 2^(M/2-1) words: class 0's P+ (one bit
 derived) and class 1's two halves exactly that, class 0's P- half of it.
-The space counted as scanned is still all 2^(M+1) candidates.
+The space counted as scanned is still all 2^(M+1) candidates. A half's
+positions after its fixed first one fall into runs of consecutive
+positions (at most _RUN_BITS long), and its words are the product of its
+runs: each run's 2^r sign patterns ORed as the high part onto the words of
+the runs before it (np.bitwise_or.outer), written in place into one array,
+one array pass per run and none per position.
 
 A search is a list of join passes, one per joined middle class and key
 part. A joined class is described once (_class_sums): its halves' listed
@@ -112,18 +117,20 @@ calling thread, which reports progress, groups and verifies them all once
 
 Survivors are grouped into equivalence classes on their packed sign words
 (_canonical_words), with no sequence built per survivor; each class's pair
-is parsed from its key, two ints whose M binary digits are the texts
-(_key_pair), and verified once, because the CZCP width and |mid_aacs| are
-the same for all 16 equivalent pairs.
+is built from its key, two ints whose M binary digits are the members'
+signs (_key_pair), with no text formatted or parsed, and verified once,
+because the CZCP width and |mid_aacs| are the same for all 16 equivalent
+pairs.
 
 A spec is gated at construction, before any work starts, on what a search
 holds: the 2^(M/2-1) sign words of its largest half, listed in full
 whatever mid_abs, shards and jobs. Up to 2^19 words (M <= 40) it runs
 freely, up to 2^23 (M <= 48) it needs allow_large, and longer lengths are
 refused. With mid_abs unset a search took 0.15 s and 66 MB at M = 40,
-0.77 s and 174 MB at 44, and 3.5 s and 607 MB at 48, where it finds 20
+0.75 s and 174 MB at 44, and 3.5 s and 607 MB at 48, where it finds 20
 classes, the canonical form of the paper's (48, 23) pair among them
-(2-vCPU host, fresh processes): about 2.6-3.5x the memory per +4 in M.
+(2-vCPU host, medians of 4 fresh processes): about 2.6-3.5x the memory
+per +4 in M.
 """
 
 from __future__ import annotations
@@ -137,7 +144,7 @@ from typing import Optional
 
 import numpy as np
 
-from .sequences import SequencePair
+from .sequences import BinarySequence, SequencePair
 from .verify import czcp_width, golay_factorization
 
 # log2 of a half's sign words that run freely (M <= 40) and with allow_large
@@ -145,6 +152,11 @@ from .verify import czcp_width, golay_factorization
 _FREE_WORDS, _MAX_WORDS = 19, 23
 _KEY_SHIFTS = 10  # shifts packed into the join key, 6 bits each
 _KEY_BLOCK = 1 << 16  # words keyed at a time (_half_key)
+_SIGN_OF_BIT = np.array([1, -1], dtype=np.int8)  # a sign word's bit -> its sign (_key_pair)
+# longest run _half_words lists from one arange, which is a temporary: one as
+# large as a half raised an M = 44 --jobs 2 search's peak by 7 MB and listed
+# M = 48's halves 2x slower (CHANGES.md)
+_RUN_BITS = 12
 # mid_abs -> (middle class, key bit) per class whose join holds every optimal
 # class with that |AACS(M/2)|, none for other values (module docstring); the key
 # bit is None, or in class 1 XORed into the right key's bit _MID_BIT (1 for 0).
@@ -268,9 +280,16 @@ def _canonical_words(x, y, m):
 
 
 def _key_pair(key, m):
-    """The SequencePair whose members' texts are the keys in `key` in m binary digits."""
-    signs = str.maketrans("01", "+-")
-    return SequencePair.from_texts(*(format(k, f"0{m}b").translate(signs) for k in key))
+    """The SequencePair whose members' texts are the keys in `key` in m binary digits.
+
+    Each member's int8 values are its key's m low bits, most significant
+    first, a set bit -1, unpacked from the key's big-endian bytes; no text
+    is formatted or parsed.
+    """
+    size = (m + 7) // 8
+    bits = np.unpackbits(np.frombuffer(b"".join(k.to_bytes(size, "big") for k in key), np.uint8))
+    signs = _SIGN_OF_BIT[bits].reshape(len(key), 8 * size)[:, 8 * size - m :]
+    return SequencePair(*map(BinarySequence._of_valid, signs))
 
 
 def _scan_block(words):
@@ -282,11 +301,32 @@ def _half_words(positions):
     """Every sign word of c over `positions` whose first position has sign +1 (bit clear).
 
     _class_sums lists 0 first in P+ and M/2+1 first in P-: c_0 is fixed by
-    negation and c_(M/2+1) by the swap of c and d (module docstring).
+    negation and c_(M/2+1) by the swap of c and d (module docstring). The
+    other positions split into runs of consecutive ones, at most _RUN_BITS
+    long, and the words are the product of the runs: a run of r positions
+    from `start` is the 2^r words arange(2^r) << start, and each later run
+    is ORed on as the high part of the word index, so word i sets position
+    p_(j+1) for each set bit j of i. All are written into the one result
+    array: the first run at its start, each later run's rows after the
+    words so far.
     """
-    words = np.zeros(1, dtype=np.uint64)
+    runs = []  # [start, length] of each run of consecutive positions, in list order
     for p in positions[1:]:
-        words = np.concatenate([words, words | np.uint64(1 << p)])
+        if runs and p == sum(runs[-1]) and runs[-1][1] < _RUN_BITS:
+            runs[-1][1] += 1
+        else:
+            runs.append([p, 1])
+    words = np.empty(1 << (len(positions) - 1), dtype=np.uint64)
+    words[0], size = 0, 1
+    for start, r in runs:
+        run = np.arange(1 << r, dtype=np.uint64)
+        if size == 1:
+            np.left_shift(run, np.uint64(start), out=words[: 1 << r])
+        else:
+            # the words so far are row 0 (run[0] = 0); rows 1.. go after them
+            run <<= np.uint64(start)
+            np.bitwise_or.outer(run[1:], words[:size], out=words[size : size << r].reshape(-1, size))
+        size <<= r
     return words
 
 
@@ -331,13 +371,15 @@ def _pack(fields):
 def _class_sums(m, middle, flip):
     """The description of class `middle` the search joins: (P+ side, P- side, totals).
 
-    A side is (positions, bits, derived, key): the positions _half_words
-    lists, the first of them fixed (module docstring); the mask of the
-    half's positions; and two rules for _parity, (positions, flip, at) or
-    None. `derived` sets a bit the listing leaves out, class 0's c_(M/2) =
-    -c_1 c_(M/2-1) on P+. `key` is class 1's |AACS(M/2)| key bit when
-    `flip` (_MIDDLES) is not None: b_(M/2) on the left, b_(M-1) ^ b_(M/2-1)
-    ^ flip on the right. `totals` is t(u) at shifts 1..M/2-1.
+    A side is (positions, bits, derived, key, offset): the positions
+    _half_words lists, the first of them fixed (module docstring); the mask
+    of the half's positions; two rules for _parity, (positions, flip, at)
+    or None; and the packed key offset (_join). `derived` sets a bit the
+    listing leaves out, class 0's c_(M/2) = -c_1 c_(M/2-1) on P+. `key` is
+    class 1's |AACS(M/2)| key bit when `flip` (_MIDDLES) is not None:
+    b_(M/2) on the left, b_(M-1) ^ b_(M/2-1) ^ flip on the right. The
+    offsets are the keyed shifts' fields 32 on the left and 32 + t(u) on the
+    right. `totals` is t(u) at shifts 1..M/2-1.
     """
     h = m // 2
     plus, minus = list(range(h - 1)), list(range(h + 1, m))
@@ -356,7 +398,9 @@ def _class_sums(m, middle, flip):
     lkey = rkey = None
     if flip is not None:
         lkey, rkey = ((h,), 0, _MID_BIT), ((m - 1, h - 1), flip, _MID_BIT)
-    return (plus, lbits, derived, lkey), (minus, rbits, None, rkey), totals
+    keyed = totals[:_KEY_SHIFTS]
+    loff, roff = _pack([32] * len(keyed)), _pack([32 + t for t in keyed])
+    return (plus, lbits, derived, lkey, loff), (minus, rbits, None, rkey, roff), totals
 
 
 def _parity(words, positions, flip, at):
@@ -381,8 +425,8 @@ def _key_parts(desc, shards, index, jobs, side):
     no field a match can have, 32 + d+(1) with 0 <= d+(1) <= k+(1), lists
     nothing and returns `jobs` empty parts.
     """
-    positions, bits, derived, _ = desc[side]
-    (_, lbits, _, _), _, totals = desc
+    positions, bits, derived, _, _ = desc[side]
+    (_, lbits, _, _, _), _, totals = desc
     k_plus = (lbits & lbits >> 1).bit_count()  # k+(1): pairs inside P+ at shift 1
     if all((32 + d) % shards != index for d in range(k_plus + 1)):
         return [np.zeros(0, dtype=np.uint64)] * jobs
@@ -407,15 +451,15 @@ def _join(desc, left_words, right_words):
     """
     if not (left_words.size and right_words.size):
         return np.zeros(0, dtype=np.uint64)
-    (_, lbits, _, lkey), (_, rbits, _, rkey), totals = desc
+    (_, lbits, _, lkey, loff), (_, rbits, _, rkey, roff), totals = desc
     # A+ = -A- at shift u iff d+ + d- = t(u) = (k+(u) + k-(u)) / 2 (module
     # docstring); the left key's fields are 32 + d+, the right key's 32 + t - d-
     shifts = range(1, len(totals) + 1)
     keyed = shifts[:_KEY_SHIFTS]
     left_key = _half_key(left_words, lbits, keyed)
-    left_key += np.uint64(_pack([32] * len(keyed)))
+    left_key += np.uint64(loff)
     right_key = _half_key(right_words, rbits, keyed)
-    np.subtract(np.uint64(_pack([32 + t for t in totals[:_KEY_SHIFTS]])), right_key, out=right_key)
+    np.subtract(np.uint64(roff), right_key, out=right_key)
     if lkey is not None:
         left_key |= _parity(left_words, *lkey)
         right_key |= _parity(right_words, *rkey)
@@ -474,7 +518,7 @@ def _search(spec, progress, jobs, join_map):
             if progress is not None:
                 progress(done * spec.share // passes, spec.share)
         del lefts, rights  # before the next class's halves are listed
-        _, (_, rbits, _, _), _ = desc  # d's word is c's ^ the P- mask
+        _, (_, rbits, _, _, _), _ = desc  # d's word is c's ^ the P- mask
         survivors = _scan_block(np.concatenate(found)).tolist()
         keys.update(_canonical_words(x, x ^ rbits, spec.m) for x in survivors)
     if not passes and progress is not None:

@@ -83,12 +83,13 @@ def _progress_calls(run):
 
 def test_key_pair_matches_per_bit_definition(rng):
     # a key's most significant of m bits is position 0, set for -1; keys
-    # wider than 64 bits (M > 64) parse the same
-    for m in range(1, 97):
+    # wider than one or two 64-bit words (M > 64, M > 128) build the same
+    for m in range(1, 131):
         keys = (0, (1 << m) - 1, 1 << (m - 1), 1, *(rng.getrandbits(m) for _ in range(6)))
         for a, b in zip(keys, keys[1:]):
             pair = _key_pair((a, b), m)
             for member, k in zip((pair.first, pair.second), (a, b)):
+                assert member.values.dtype == np.int8 and not member.values.flags.writeable
                 want = [-1 if k >> (m - 1 - j) & 1 else 1 for j in range(m)]
                 assert list(member) == want, (m, k)
 
@@ -213,13 +214,14 @@ def threads_at_every_length(monkeypatch):
 
 
 # the join's key holds every shift up to M = 22 and keys 2^16 words at a
-# time; shorter keys and one-word blocks run the shifts past the key and
-# the block loop at the contract's lengths, on one job, as threads run the
-# same key code
+# time, and a half's runs are cut only past 12 positions (M > 26); shorter
+# keys, one-word blocks and shorter runs run the shifts past the key, the
+# block loop and the cut runs at the contract's lengths, on one job, as
+# threads run the same key and listing code
 _KEYS = {
     "key": {},
-    "no-key": {"_KEY_SHIFTS": 0, "_KEY_BLOCK": 1},
-    "short-key": {"_KEY_SHIFTS": 3, "_KEY_BLOCK": 1},
+    "no-key": {"_KEY_SHIFTS": 0, "_KEY_BLOCK": 1, "_RUN_BITS": 1},
+    "short-key": {"_KEY_SHIFTS": 3, "_KEY_BLOCK": 1, "_RUN_BITS": 3},
 }
 
 
@@ -456,7 +458,7 @@ def _pairs_inside(positions, u):
 
 def _half_positions(m, middle):
     """P+ and P- of class `middle`, read off the masks of its description (_class_sums)."""
-    (_, lbits, _, _), (_, rbits, _, _), _ = _class_sums(m, middle, None)
+    (_, lbits, _, _, _), (_, rbits, _, _, _), _ = _class_sums(m, middle, None)
     return tuple([p for p in range(m) if bits >> p & 1] for bits in (lbits, rbits))
 
 
@@ -493,7 +495,7 @@ def test_class0_matches_have_the_derived_middle_sign():
         x = x[_middle_class(x, y, m) == 0]
         assert np.array_equal(_sign(x, h), -_sign(x, 1) * _sign(x, h - 1)), m
         # class 0's description lists P+ without M/2 and its rule sets that bit
-        (positions, _, derived, _), _, _ = _class_sums(m, 0, None)
+        (positions, _, derived, _, _), _, _ = _class_sums(m, 0, None)
         assert h not in positions
         listed = x & ~np.uint64(1 << h)
         assert np.array_equal(listed | _parity(listed, *derived), x), m
