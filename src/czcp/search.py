@@ -63,14 +63,13 @@ unset, and none for any other value. Classes 2 and 3 are never joined.
 Class 1 puts M/2-1 in P- and M/2 in P+, so d_(M/2-1) = -c_(M/2-1) and
 d_(M/2) = c_(M/2), and AACS(M/2) = 2 (c_(M/2) + c_(M-1) c_(M/2-1)):
 |AACS(M/2)| is 4 when c_(M/2) = c_(M-1) c_(M/2-1) and 0 otherwise. In sign
-bits (b_j set for c_j = -1) that is b_(M/2) = b_(M-1) ^ b_(M/2-1), with
-b_(M/2) in a P+ word and b_(M-1), b_(M/2-1) in a P- word. So for mid_abs 4
-or 0 class 1's join puts b_(M/2) into bit _MID_BIT (60) of the left key and
-b_(M-1) ^ b_(M/2-1), XOR 1 for mid_abs 0, into bit 60 of the right key
-(_MIDDLES); the 6-bit fields end at bit 59 and never carry into it. The
+bits (b_j set for c_j = -1) that is b_(M/2) ^ b_(M-1) ^ b_(M/2-1) = 0 for 4
+and 1 for 0. So class 1 is joined alike for every mid_abs, and for 4 or 0
+the calling thread keeps the matches whose three bits XOR to the class's
+flip (_MIDDLES), 0 for 4 and 1 for 0: one _parity rule on c's words. The
 join compares every shift 1..M/2-1 in full, so its matches are exactly the
-candidates of the joined classes with the seed shape and the requested
-|AACS(M/2)| and with c_(M/2+1) = +1 (next paragraph): every match is a
+candidates of the joined classes with the seed shape and with
+c_(M/2+1) = +1 (next paragraph), and each match the filter keeps is a
 survivor. M = 2 has no check shift, and its width M/2-1 = 0 is no CZCP, so
 no class is joined there.
 
@@ -80,40 +79,43 @@ _class_sums lists first in P- for every class, by the swap of c and d. Swapping
 keeps s = c d, so it keeps the middle class and d_0 = c_0 = +1; it
 complements c on P- and leaves P+ alone. Complementing a half leaves every
 d(u) unchanged, so every key field and the shift-1 field that picks a key
-part (below) stay the same, and so does class 1's key bit
-b_(M-1) ^ b_(M/2-1), whose two bits both lie in P-. A match and its swap
-partner therefore share a key part, a shard and a canonical class, and the
-search lists c with c_0 = c_(M/2+1) = +1 and emits one match of each swap
-pair. Each half then holds at most 2^(M/2-1) words: class 0's P+ (one bit
-derived) and class 1's two halves exactly that, class 0's P- half of it.
-The space counted as scanned is still all 2^(M+1) candidates. A half's
-positions after its fixed first one fall into runs of consecutive
-positions (at most _RUN_BITS long), and its words are the product of its
-runs: each run's 2^r sign patterns ORed as the high part onto the words of
-the runs before it (np.bitwise_or.outer), written in place into one array,
-one array pass per run and none per position.
+part (below) stay the same. A swap complements b_(M-1) and b_(M/2-1),
+both in P-, and keeps b_(M/2) in P+, so it leaves the XOR of class 1's
+filter unchanged: a swap pair is kept or dropped together. A match and its
+swap partner therefore share a key part, a shard, the filter's verdict and
+a canonical class, and the search lists c with c_0 = c_(M/2+1) = +1 and
+emits one match of each swap pair. Each half then holds at most
+2^(M/2-1) words: class 0's P+ (one bit derived) and class 1's two halves
+exactly that, class 0's P- half of it. The space counted as scanned is
+still all 2^(M+1) candidates. A half's positions after its fixed first one
+fall into runs of consecutive positions (at most _RUN_BITS long), and its
+words are the product of its runs: each run's 2^r sign patterns ORed as
+the high part onto the words of the runs before it (np.bitwise_or.outer),
+written in place into one array, one array pass per run and none per
+position.
 
 A search is a list of join passes, one per joined middle class and key
 part. A joined class is described once (_class_sums): its halves' listed
-positions and masks, t(u), class 0's derived bit and class 1's key bit,
-the last two as one parity rule (_parity); its listing, join and class
-keying read that description. Each half of a class is listed once and split by its words' shift-1
-key field (_key_parts), which is equal on both sides of every match: with S
-shards, into S*jobs parts by the field mod S*jobs, of which shard i runs
-the `jobs` parts that are i mod S. So the shards' joins are disjoint and
-add up to the whole join, and the union of their classes is the unsharded
-result (a class can be reported by several shards). A match's field is a
-P+ word's 32 + d+(1), 0 <= d+(1) <= k+(1); a shard that owns none of those
-values lists neither half of the class. Each shard counts its
-equal share of the 2^(M+1) candidates as scanned. run_search_parallel is
-run_search below M = _THREADS_MIN_M, where two threads lose to one; from
-there on it lists the two halves on two worker threads started for the
-call, and `jobs` threads key, sort and join one part each. The join is
-numpy array work that releases the GIL for most of its time, so threads
-overlap it without copying any array between processes. A worker thread
-runs _key_parts and _join and nothing else: the matches come back to the
-calling thread, which reports progress, groups and verifies them all once
-(so the names perfbench/tracer.py wraps are called on one thread).
+positions and masks, t(u) and class 0's derived bit, a parity rule
+(_parity) like class 1's filter; its listing, join and class keying read
+that description. Each half of a class is listed once and split by its
+words' shift-1 key field (_key_parts), which is equal on both sides of
+every match: with S shards, into S*jobs parts by the field mod S*jobs, of
+which shard i runs the `jobs` parts that are i mod S. So the shards' joins
+are disjoint and add up to the whole join, and the union of their classes
+is the unsharded result (a class can be reported by several shards). A
+match's field is a P+ word's 32 + d+(1), 0 <= d+(1) <= k+(1); a shard that
+owns none of those values lists neither half of the class. Each shard
+counts its equal share of the 2^(M+1) candidates as scanned.
+run_search_parallel is run_search below M = _THREADS_MIN_M, where two
+threads lose to one; from there on it lists the two halves on two worker
+threads started for the call, and `jobs` threads key, sort and join one
+part each. The join is numpy array work that releases the GIL for most of
+its time, so threads overlap it without copying any array between
+processes. A worker thread runs _key_parts and _join and nothing else: the
+matches come back to the calling thread, which reports progress, filters
+class 1's matches, and groups and verifies them all once (so the names
+perfbench/tracer.py wraps are called on one thread).
 
 Survivors are grouped into equivalence classes on their packed sign words
 (_canonical_words), with no sequence built per survivor; each class's pair
@@ -157,11 +159,11 @@ _SIGN_OF_BIT = np.array([1, -1], dtype=np.int8)  # a sign word's bit -> its sign
 # large as a half raised an M = 44 --jobs 2 search's peak by 7 MB and listed
 # M = 48's halves 2x slower (CHANGES.md)
 _RUN_BITS = 12
-# mid_abs -> (middle class, key bit) per class whose join holds every optimal
-# class with that |AACS(M/2)|, none for other values (module docstring); the key
-# bit is None, or in class 1 XORed into the right key's bit _MID_BIT (1 for 0).
+# mid_abs -> (middle class, flip) per class whose join holds every optimal
+# class with that |AACS(M/2)|, none for other values (module docstring); flip is
+# None, or in class 1 the XOR of b_(M/2), b_(M-1) and b_(M/2-1) the kept matches
+# have (1 for 0).
 _MIDDLES = {None: ((0, None), (1, None)), 0: ((1, 1),), 2: ((0, None),), 4: ((1, 0),)}
-_MID_BIT = 60  # class 1's |AACS(M/2)| key bit, above the _KEY_SHIFTS fields
 # run_search_parallel threads its passes from this length on and is run_search
 # below it: two threads (one pass per class and key part) lose to one process
 # below M = 32, are even with it there within a 2-vCPU host's spread, and win
@@ -293,7 +295,7 @@ def _key_pair(key, m):
 
 
 def _scan_block(words):
-    """A class's join matches, unchanged: only perfbench/tracer.py's survivor lookup site."""
+    """A class's survivors, unchanged: only perfbench/tracer.py's survivor lookup site."""
     return words
 
 
@@ -368,18 +370,16 @@ def _pack(fields):
     return key
 
 
-def _class_sums(m, middle, flip):
+def _class_sums(m, middle):
     """The description of class `middle` the search joins: (P+ side, P- side, totals).
 
-    A side is (positions, bits, derived, key, offset): the positions
-    _half_words lists, the first of them fixed (module docstring); the mask
-    of the half's positions; two rules for _parity, (positions, flip, at)
-    or None; and the packed key offset (_join). `derived` sets a bit the
-    listing leaves out, class 0's c_(M/2) = -c_1 c_(M/2-1) on P+. `key` is
-    class 1's |AACS(M/2)| key bit when `flip` (_MIDDLES) is not None:
-    b_(M/2) on the left, b_(M-1) ^ b_(M/2-1) ^ flip on the right. The
-    offsets are the keyed shifts' fields 32 on the left and 32 + t(u) on the
-    right. `totals` is t(u) at shifts 1..M/2-1.
+    A side is (positions, bits, derived, offset): the positions _half_words
+    lists, the first of them fixed (module docstring); the mask of the
+    half's positions; a rule for _parity, (positions, flip, at), or None;
+    and the packed key offset (_join). `derived` sets a bit the listing
+    leaves out, class 0's c_(M/2) = -c_1 c_(M/2-1) on P+. The offsets are
+    the keyed shifts' fields 32 on the left and 32 + t(u) on the right.
+    `totals` is t(u) at shifts 1..M/2-1.
     """
     h = m // 2
     plus, minus = list(range(h - 1)), list(range(h + 1, m))
@@ -395,18 +395,16 @@ def _class_sums(m, middle, flip):
         # a match has c_(M/2) = -c_1 c_(M/2-1) (module docstring): list P+
         # without position M/2, the last of `plus`, and derive its bit
         plus, derived = plus[:-1], ((1, h - 1), 1, h)
-    lkey = rkey = None
-    if flip is not None:
-        lkey, rkey = ((h,), 0, _MID_BIT), ((m - 1, h - 1), flip, _MID_BIT)
     keyed = totals[:_KEY_SHIFTS]
     loff, roff = _pack([32] * len(keyed)), _pack([32 + t for t in keyed])
-    return (plus, lbits, derived, lkey, loff), (minus, rbits, None, rkey, roff), totals
+    return (plus, lbits, derived, loff), (minus, rbits, None, roff), totals
 
 
 def _parity(words, positions, flip, at):
     """Per word, the XOR of its bits at `positions` (all below `at`) and `flip`, as bit `at`.
 
-    Its temporaries die before the join sorts (one held there: +9% peak at M = 40)."""
+    It runs on a half before its join (class 0's derived bit) and on a
+    class's matches after it (class 1's filter), never while keys are held."""
     out = np.full(words.size, flip << at, dtype=np.uint64)
     for p in positions:
         out ^= np.left_shift(words, np.uint64(at - p))
@@ -425,8 +423,8 @@ def _key_parts(desc, shards, index, jobs, side):
     no field a match can have, 32 + d+(1) with 0 <= d+(1) <= k+(1), lists
     nothing and returns `jobs` empty parts.
     """
-    positions, bits, derived, _, _ = desc[side]
-    (_, lbits, _, _, _), _, totals = desc
+    positions, bits, derived, _ = desc[side]
+    (_, lbits, _, _), _, totals = desc
     k_plus = (lbits & lbits >> 1).bit_count()  # k+(1): pairs inside P+ at shift 1
     if all((32 + d) % shards != index for d in range(k_plus + 1)):
         return [np.zeros(0, dtype=np.uint64)] * jobs
@@ -451,7 +449,7 @@ def _join(desc, left_words, right_words):
     """
     if not (left_words.size and right_words.size):
         return np.zeros(0, dtype=np.uint64)
-    (_, lbits, _, lkey, loff), (_, rbits, _, rkey, roff), totals = desc
+    (_, lbits, _, loff), (_, rbits, _, roff), totals = desc
     # A+ = -A- at shift u iff d+ + d- = t(u) = (k+(u) + k-(u)) / 2 (module
     # docstring); the left key's fields are 32 + d+, the right key's 32 + t - d-
     shifts = range(1, len(totals) + 1)
@@ -460,9 +458,6 @@ def _join(desc, left_words, right_words):
     left_key += np.uint64(loff)
     right_key = _half_key(right_words, rbits, keyed)
     np.subtract(np.uint64(roff), right_key, out=right_key)
-    if lkey is not None:
-        left_key |= _parity(left_words, *lkey)
-        right_key |= _parity(right_words, *rkey)
     # sort-join on the packed key; sorted needles keep searchsorted's lookups local
     lorder, rorder = np.argsort(left_key), np.argsort(right_key)
     left_key, right_key = left_key[lorder], right_key[rorder]
@@ -490,8 +485,9 @@ def _search(spec, progress, jobs, join_map):
     For each middle class in _MIDDLES[mid_abs], join_map(f, ...) lists the
     class's two halves and splits off the shard's parts (_key_parts), then
     runs its passes, one per key part, and yields their matches in part
-    order. Every match is a survivor; they are grouped and verified once,
-    in the calling thread.
+    order. Class 1's matches are filtered on |AACS(M/2)| when mid_abs picks
+    one value; the survivors are grouped and verified once, all in the
+    calling thread.
     """
     warnings = []
     if golay_factorization(spec.m) is not None:
@@ -508,7 +504,7 @@ def _search(spec, progress, jobs, join_map):
     for middle, flip in middles:
         # each half listed and split on a worker, whose join then reuses the
         # memory the listing frees
-        desc = _class_sums(spec.m, middle, flip)
+        desc = _class_sums(spec.m, middle)
         key_parts = partial(_key_parts, desc, spec.shards, spec.shard_index, jobs)
         lefts, rights = join_map(key_parts, (0, 1))
         found = []
@@ -518,8 +514,13 @@ def _search(spec, progress, jobs, join_map):
             if progress is not None:
                 progress(done * spec.share // passes, spec.share)
         del lefts, rights  # before the next class's halves are listed
-        _, (_, rbits, _, _, _), _ = desc  # d's word is c's ^ the P- mask
-        survivors = _scan_block(np.concatenate(found)).tolist()
+        matches = np.concatenate(found)
+        if flip is not None:  # class 1's |AACS(M/2)| (module docstring)
+            h = spec.m // 2
+            odd = _parity(matches, (h, spec.m - 1, h - 1), flip, spec.m)
+            matches = np.compress(odd == 0, matches)
+        _, (_, rbits, _, _), _ = desc  # d's word is c's ^ the P- mask
+        survivors = _scan_block(matches).tolist()
         keys.update(_canonical_words(x, x ^ rbits, spec.m) for x in survivors)
     if not passes and progress is not None:
         progress(spec.share, spec.share)

@@ -299,8 +299,15 @@ _CENSUS = {
 
 
 def _census_classes(m):
+    # also runs mid_abs 0, 2 and 4, each of which must return exactly the
+    # unset search's classes with that |AACS(M/2)|: past M = 22 the join
+    # compares shifts past the key before class 1's filter
     pairs = run_search(SearchSpec(m=m, allow_large=m > 40)).pairs
-    return pairs, Counter(abs(classify(p).mid_aacs) for p in pairs)
+    mids = [abs(classify(p).mid_aacs) for p in pairs]
+    for mid_abs in (0, 2, 4):
+        kept = run_search(SearchSpec(m=m, mid_abs=mid_abs, allow_large=m > 40)).pairs
+        assert kept == tuple(p for p, v in zip(pairs, mids) if v == mid_abs), (m, mid_abs)
+    return pairs, Counter(mids)
 
 
 def test_census_frozen_to_42():
@@ -310,8 +317,9 @@ def test_census_frozen_to_42():
 
 @pytest.mark.large_census
 def test_census_frozen_to_48():
-    # run with `-m large_census`: about 6 s, and M = 48's search peaks near
-    # 610 MB; it finds the paper's (48, 23) pair
+    # run with `-m large_census`: four searches a length, 17-30 s on a 2-vCPU
+    # host, and M = 48's unset search peaks near 610 MB; it finds the paper's
+    # (48, 23) pair
     for m, want in ((44, {}), (46, {}), (48, {2: 16, 4: 4})):
         pairs, counts = _census_classes(m)
         assert counts == want, m
@@ -415,10 +423,16 @@ def test_middle_class_decides_mid_aacs():
         xs = _sign(x, h - 1) - _sign(y, h - 1)
         ys = _sign(x, h) + _sign(y, h)
         assert np.array_equal(mid, np.abs(ys + _sign(x, m - 1) * xs)), m
-        # class 1's key bit: |AACS(M/2)| = 4 exactly when c_(M/2) = c_(M-1) c_(M/2-1)
+        # class 1: |AACS(M/2)| = 4 exactly when c_(M/2) = c_(M-1) c_(M/2-1)
         one = middle == 1
         product = _sign(x, h) == _sign(x, m - 1) * _sign(x, h - 1)
         assert np.array_equal(mid[one] == 4, product[one]), m
+        # and _MIDDLES' flip is the parity of b_(M/2) ^ b_(M-1) ^ b_(M/2-1)
+        # that the search's filter keeps for each value class 1 reaches
+        for v in (0, 4):
+            ((_, flip),) = _MIDDLES[v]
+            kept = _parity(x[one], (h, m - 1, h - 1), flip, m) == 0
+            assert np.array_equal(kept, mid[one] == v), (m, v)
         seen = {k: set(mid[middle == k].tolist()) for k in range(4)}
         assert seen == {0: {2}, 1: {0, 4}, 2: {0}, 3: {2}}, m
         for k in range(4):
@@ -429,11 +443,11 @@ def test_middle_class_decides_mid_aacs():
     assert {v: tuple(k for k, _ in entries) for v, entries in _MIDDLES.items()} == {
         None: (0, 1)
     } | {v: tuple(k for k in (0, 1) if v in reached[k]) for v in values}
-    # class 1 takes the key bit, 0 for |AACS(M/2)| = 4 and 1 for 0, exactly
+    # class 1 is filtered, with flip 0 for |AACS(M/2)| = 4 and 1 for 0, exactly
     # when mid_abs picks one of the two values it reaches
-    class1 = [(v, bit) for v, entries in _MIDDLES.items() for k, bit in entries if k == 1]
+    class1 = [(v, flip) for v, entries in _MIDDLES.items() for k, flip in entries if k == 1]
     assert class1 == [(None, None), (0, 1), (4, 0)]
-    assert all(bit is None for entries in _MIDDLES.values() for k, bit in entries if k != 1)
+    assert all(flip is None for entries in _MIDDLES.values() for k, flip in entries if k != 1)
 
 
 def test_class2_matches_are_perfect():
@@ -458,7 +472,7 @@ def _pairs_inside(positions, u):
 
 def _half_positions(m, middle):
     """P+ and P- of class `middle`, read off the masks of its description (_class_sums)."""
-    (_, lbits, _, _, _), (_, rbits, _, _, _), _ = _class_sums(m, middle, None)
+    (_, lbits, _, _), (_, rbits, _, _), _ = _class_sums(m, middle)
     return tuple([p for p in range(m) if bits >> p & 1] for bits in (lbits, rbits))
 
 
@@ -470,7 +484,7 @@ def test_pairs_inside_the_halves_are_even_in_number():
     for m in range(4, 57, 2):
         for middle in range(4):
             plus, minus = _half_positions(m, middle)
-            _, _, totals = _class_sums(m, middle, None)
+            _, _, totals = _class_sums(m, middle)
             for u in range(1, m // 2):
                 k = len(_pairs_inside(plus, u)) + len(_pairs_inside(minus, u))
                 assert k % 2 == 0, (m, middle, u)
@@ -495,7 +509,7 @@ def test_class0_matches_have_the_derived_middle_sign():
         x = x[_middle_class(x, y, m) == 0]
         assert np.array_equal(_sign(x, h), -_sign(x, 1) * _sign(x, h - 1)), m
         # class 0's description lists P+ without M/2 and its rule sets that bit
-        (positions, _, derived, _, _), _, _ = _class_sums(m, 0, None)
+        (positions, _, derived, _), _, _ = _class_sums(m, 0)
         assert h not in positions
         listed = x & ~np.uint64(1 << h)
         assert np.array_equal(listed | _parity(listed, *derived), x), m
@@ -520,17 +534,25 @@ def test_matches_are_closed_under_swap():
     assert found
 
 
-def test_every_join_match_is_one_survivor(monkeypatch):
-    # the search keys one class per join match (_canonical_words), and the
-    # join emits exactly the census matches of the joined classes with the
-    # requested |AACS(M/2)| and c_(M/2+1) = +1, one of each swap pair
-    keyed = []
-    canonical = search_mod._canonical_words
+def test_join_emits_every_class_match_and_filter_keeps_survivors(monkeypatch):
+    # the join emits every census match of the joined classes with
+    # c_(M/2+1) = +1, one of each swap pair, whatever mid_abs; the filter
+    # then keeps those with the requested |AACS(M/2)|, and the search keys
+    # one class per kept match (_canonical_words)
+    joined, keyed = [], []
+    join, canonical = search_mod._join, search_mod._canonical_words
+
+    def recorded_join(*args):
+        words = join(*args)
+        joined.extend(words.tolist())
+        return words
+
+    monkeypatch.setattr(search_mod, "_join", recorded_join)
     monkeypatch.setattr(
         search_mod, "_canonical_words", lambda x, y, m: keyed.append(x) or canonical(x, y, m)
     )
     run_search(SearchSpec(m=2))
-    assert keyed == []  # M = 2 joins no class
+    assert joined == keyed == []  # M = 2 joins no class
     for m in range(4, 19, 2):
         h = m // 2
         x, y = _matches(m)
@@ -538,11 +560,12 @@ def test_every_join_match_is_one_survivor(monkeypatch):
         mid = np.abs(aacs_of_words(x, y, h, m))
         listed = (x >> np.uint64(h + 1) & np.uint64(1)) == 0
         for mid_abs in (None, 0, 2, 4):
-            keep = listed & np.isin(middle, [k for k, _ in _MIDDLES[mid_abs]])
-            if mid_abs is not None:
-                keep &= mid == mid_abs
+            emitted = listed & np.isin(middle, [k for k, _ in _MIDDLES[mid_abs]])
+            keep = emitted & (mid == mid_abs) if mid_abs is not None else emitted
+            joined.clear()
             keyed.clear()
             run_search(SearchSpec(m=m, mid_abs=mid_abs))
+            assert sorted(joined) == sorted(x[emitted].tolist()), (m, mid_abs)
             assert sorted(keyed) == sorted(x[keep].tolist()), (m, mid_abs)
 
 
