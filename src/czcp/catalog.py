@@ -53,8 +53,8 @@ def _entry(eid, first, second, source, width, optimal, aacs=None, accs=None):
         source=source,
         width=width,
         optimal=optimal,
-        aacs=tuple(aacs) if aacs is not None else None,
-        accs=tuple(accs) if accs is not None else None,
+        aacs=aacs,
+        accs=accs,
     )
 
 

@@ -50,16 +50,14 @@ def _verdict_json(v):
     return out
 
 
-def _jsonable(value):
+def _fraction_json(value):
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(report):
-    print(json.dumps(report, indent=2 if sys.stdout.isatty() else None))
+    print(json.dumps(report, indent=2 if sys.stdout.isatty() else None, default=_fraction_json))
 
 
 def _fail(args, code, message):
@@ -234,8 +232,8 @@ def cmd_catalog(args):
                 "source": e.source,
                 "claimed_width": e.width,
                 "claimed_optimal": e.optimal,
-                "aacs": list(e.aacs) if e.aacs is not None else None,
-                "accs": list(e.accs) if e.accs is not None else None,
+                "aacs": e.aacs,
+                "accs": e.accs,
                 "verdict": _verdict_json(classify(e.pair)),
             }
             payload.append(item)
@@ -262,15 +260,7 @@ def cmd_reproduce(args):
                 "reproduce": {
                     "target": report.target,
                     "ok": report.ok,
-                    "checks": [
-                        {
-                            "name": c.name,
-                            "ok": c.ok,
-                            "expected": _jsonable(c.expected),
-                            "actual": _jsonable(c.actual),
-                        }
-                        for c in report.checks
-                    ],
+                    "checks": [dataclasses.asdict(c) for c in report.checks],
                 },
             },
         )

@@ -144,6 +144,17 @@ def test_construct_from_files(tmp_path, capsys):
     assert report["construction"]["verdict"]["czcp_width"] == 5
 
 
+def test_construct_text_warns_when_the_sign_condition_fails(tmp_path, capsys):
+    gcp = catalog.get("GCP10").pair
+    flipped = write_pair(tmp_path, SequencePair(gcp.first, gcp.second.negate()))
+    code, out, err = run_cli(capsys, "construct", "--gcp", flipped, "--seed", "K6")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "sign cond:   False" in lines and "normalized:  no" in lines
+    want = "sign condition fails; only the compositional width (M/2-1)*N is guaranteed"
+    assert f"warning:     {want}" in lines
+
+
 def test_profiles_computed_once_per_pair(tmp_path, capsys, monkeypatch):
     # one classify per pair is three correlations (a.a, b.b, a.b); the CLI
     # prints and emits the profiles the verdicts carry. construct takes the
@@ -179,6 +190,14 @@ def test_profiles_computed_once_per_pair(tmp_path, capsys, monkeypatch):
         calls.clear()
         assert run_cli(capsys, "reproduce", "table2", *flags)[0] == 0
         assert sorted(calls) == [2] * 12 + [6] * 5 + [12] * 5 + [24] * 5 + [28] * 5
+        # example1 is one construction, table4 one classify per table1 and
+        # table2 row: a target whose checks were produced twice would double these
+        calls.clear()
+        assert run_cli(capsys, "reproduce", "example1", *flags)[0] == 0
+        assert sorted(calls) == [6] * 5 + [10] * 3
+        calls.clear()
+        assert run_cli(capsys, "reproduce", "table4", *flags)[0] == 0
+        assert sorted(calls) == sorted([6, 12, 24, 28, 12, 24, 48, 56] * 3)
 
 
 def test_search_finds_seed_class(capsys):
@@ -190,6 +209,14 @@ def test_search_finds_seed_class(capsys):
     results = [(r["first"], r["second"]) for r in report["search"]["results"]]
     assert (str(rep.first), str(rep.second)) in results
     assert report["search"]["candidates_scanned"] == 128
+
+
+def test_search_text_warns_on_a_golay_length(capsys):
+    code, out, err = run_cli(capsys, "search", "--length", "8")
+    assert code == 0
+    want = "warning: length 8 is a Golay number; seed searches target non-Golay lengths"
+    assert want in err.splitlines()
+    assert "warning" not in out
 
 
 def test_search_shard_union_equals_single(capsys):
@@ -339,6 +366,8 @@ def test_usage_errors_without_json_print_usage(capsys):
         ["search", "--j", "--length", "6"],  # --jobs or --json
         ["construct", "--gcp", "GCP2", "--", "--js"],  # past --, not an option
         ["construct", "--gcp", "GCP2", "--jsonx"],
+        [],  # an error report names its command, and there is none
+        ["--json"],
     ],
 )
 def test_usage_errors_without_a_json_option_print_usage(capsys, argv):
@@ -611,7 +640,7 @@ def test_reproduce_table3_covers_the_16_classes(table3_run, family, m):
         lambda a, b: (a, BinarySequence([-b[0]] + list(b)[1:])),
     ],
 )
-def test_reproduce_table2_refuses_transformed_rows(monkeypatch, transform):
+def test_reproduce_table2_refuses_transformed_rows(capsys, monkeypatch, transform):
     # the table is rebuilt bit for bit: an equivalent row is a mismatch too
     from dataclasses import replace
 
@@ -625,6 +654,20 @@ def test_reproduce_table2_refuses_transformed_rows(monkeypatch, transform):
     check = next(c for c in report.checks if c.name == f"{row.id}.sequences")
     assert (check.ok, check.expected, check.actual) == (False, "exact", "mismatch")
     assert report.ok is False
+    code, out, _ = run_cli(capsys, "reproduce", "table2")
+    assert code == 1
+    lines = out.splitlines()
+    assert f"FAIL {row.id}.sequences  expected='exact' actual='mismatch'" in lines
+    assert lines[-1] == "table2: MISMATCH"
+
+
+def test_reproduce_unknown_target_names_the_targets():
+    from czcp import reproduce
+
+    with pytest.raises(ValueError) as exc:
+        reproduce.reproduce("nope")
+    want = "unknown target 'nope' (choose from table1, table2, table3, table4, example1)"
+    assert str(exc.value) == want
 
 
 def _readme_cli_lines():

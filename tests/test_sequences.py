@@ -80,6 +80,7 @@ def test_parse_matches_per_character_definition(signs, others):
 def test_format_basic():
     assert BinarySequence([1, -1]).to_text() == "+-"
     assert str(parse_sequence("+-+++-")) == "+-+++-"
+    assert repr(parse_sequence("+-+++-")) == "BinarySequence('+-+++-')"
 
 
 def test_parse_format_round_trip(rng):
@@ -175,6 +176,7 @@ def test_pair_requires_equal_lengths():
 def test_parse_pair():
     p = parse_pair("+-\n--\n")
     assert p.texts() == ("+-", "--")
+    assert str(p) == "(+-, --)"
 
 
 def test_parse_pair_wrong_line_count():
@@ -188,4 +190,6 @@ def test_sequence_hash_and_eq(rng):
     s = random_sequence(rng, 12)
     t = BinarySequence(list(s))
     assert s == t and hash(s) == hash(t)
+    # a sequence equals no other type, not even its own text
+    assert s.__eq__(str(s)) is NotImplemented and s != str(s)
     assert s != s.negate()

@@ -139,7 +139,11 @@ def test_golay_factorization_matches_enumeration():
 
 
 def test_lemma5_on_seed():
-    assert lemma5_structure_holds(catalog.seed("K24").pair, 11)
+    pair = catalog.seed("K24").pair
+    assert lemma5_structure_holds(pair, 11)
+    for z in (-1, 13):
+        with pytest.raises(ValueError, match=r"Z must lie in \[0, 12\]"):
+            lemma5_structure_holds(pair, z)
 
 
 def test_lemma5_depth_zero_is_vacuous(rng):
